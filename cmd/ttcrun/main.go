@@ -24,7 +24,7 @@ import (
 
 // validateFlags rejects nonsense flag values with a clear message; main
 // maps the error to exit status 2. The factory registry lives in
-// harness.Factories, shared with ttcserve and the Fig. 5 lineup.
+// harness.Factories, shared with ttcvalidate and the Fig. 5 lineup.
 func validateFlags(query, tool, data string, sf int, threads int) error {
 	fs := harness.Factories(query)
 	if fs == nil {

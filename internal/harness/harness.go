@@ -33,7 +33,7 @@ type Tool struct {
 }
 
 // Factories returns the named engine constructors for a query, the single
-// registry shared by ttcrun, ttcvalidate, ttcserve and the Fig. 5 lineup.
+// registry shared by ttcrun, ttcvalidate and the Fig. 5 lineup.
 // Names follow the CLI vocabulary: "batch", "incremental", "incremental-cc"
 // (Q2 only), "nmf-batch", "nmf-incremental". Unknown queries return nil.
 func Factories(query string) map[string]Factory {
@@ -55,28 +55,6 @@ func Factories(query string) map[string]Factory {
 		}
 	default:
 		return nil
-	}
-}
-
-// ServedEngine names one engine the serving layer keeps warm: the key it
-// is served under over HTTP, the query it answers (which also selects the
-// shard-routing strategy — "Q1" partitions by post, "Q2" by friendship
-// component), and its factory.
-type ServedEngine struct {
-	Key   string
-	Query string
-	New   Factory
-}
-
-// ServedEngines returns the incremental engine lineup instantiated per
-// shard by internal/shard and served by internal/server, in serving order.
-// Every entry resolves through Factories, keeping the engine registry
-// single-sourced.
-func ServedEngines() []ServedEngine {
-	return []ServedEngine{
-		{Key: "q1", Query: "Q1", New: Factories("Q1")["incremental"]},
-		{Key: "q2", Query: "Q2", New: Factories("Q2")["incremental"]},
-		{Key: "q2cc", Query: "Q2", New: Factories("Q2")["incremental-cc"]},
 	}
 }
 

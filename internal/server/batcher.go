@@ -27,8 +27,8 @@ func (r *updateReq) finish(err error) {
 	}
 }
 
-// writer is the single goroutine that owns the engines, the reference
-// state and the materialized model state. It first replays the recovered
+// writer is the single goroutine that owns the engines, the integrity
+// checker and the materialized model state. It first replays the recovered
 // WAL tail (if any) and flips the server ready, then drains the queue into
 // batches — a batch closes when MaxBatch changes have accumulated or
 // FlushInterval has elapsed since its first request — commits each batch
@@ -36,10 +36,10 @@ func (r *updateReq) finish(err error) {
 // after draining it. Requests enqueued during replay simply wait in the
 // queue: they commit (and their wait=1 returns) only after every recovered
 // batch is visible, preserving commit order across the restart.
-func (s *Server) writer(ref *refState, replay []wal.Batch) {
+func (s *Server) writer(check *model.Checker, replay []wal.Batch) {
 	defer close(s.writerDone)
 	if len(replay) > 0 {
-		if s.replayWAL(ref, replay) {
+		if s.replayWAL(check, replay) {
 			s.ready.Store(true)
 		}
 	}
@@ -61,19 +61,18 @@ func (s *Server) writer(ref *refState, replay []wal.Batch) {
 			}
 		}
 		timer.Stop()
-		s.commit(ref, batch)
+		s.commit(check, batch)
 	}
 }
 
-// commit validates each request against the reference state, makes the
+// commit validates each request against the integrity checker, makes the
 // merged change set of the accepted requests durable (WAL append, honoring
-// the fsync policy), commits it through the sharded runtime (whose barrier
-// returns only once every shard has applied its slice), publishes the new
-// snapshot, and answers the waiters. Rejected requests get their error and
-// do not reach any engine; accepted requests only get nil after their
-// batch is in the WAL *and* visible to readers on all shards, so a waited
-// update survives a crash the instant /update returns.
-func (s *Server) commit(ref *refState, batch []updateReq) {
+// the fsync policy), applies and publishes it (applyAndPublish), and
+// answers the waiters. Rejected requests get their error and do not reach
+// any engine; accepted requests only get nil after their batch is in the
+// WAL *and* visible to readers on all shards, so a waited update survives
+// a crash the instant /update returns.
+func (s *Server) commit(check *model.Checker, batch []updateReq) {
 	if err := s.brokenErr(); err != nil {
 		for i := range batch {
 			batch[i].finish(fmt.Errorf("%w: %w", ErrBroken, err))
@@ -85,7 +84,7 @@ func (s *Server) commit(ref *refState, batch []updateReq) {
 	accepted := make([]*updateReq, 0, len(batch))
 	for i := range batch {
 		req := &batch[i]
-		if err := ref.applyAll(req.changes); err != nil {
+		if err := check.ApplyAll(req.changes); err != nil {
 			req.finish(fmt.Errorf("%w: %w", ErrRejected, err))
 			continue
 		}
@@ -118,39 +117,14 @@ func (s *Server) commit(ref *refState, batch []updateReq) {
 			fail(fmt.Errorf("wal append: %w", err))
 			return
 		}
-		s.applyDurable(cs)
 	}
-
-	start := time.Now()
-	results, err := s.rt.Commit(cs)
-	if err != nil {
+	if err := s.applyAndPublish(seq, cs); err != nil {
 		// Validation should make this unreachable; if it happens some
 		// shards may have applied the batch while another failed, so stop
 		// accepting writes but keep serving the last committed snapshot.
 		fail(fmt.Errorf("commit: %w", err))
 		return
 	}
-	elapsed := time.Since(start)
-
-	prev := s.snap.Load()
-	s.snap.Store(&Snapshot{
-		Seq:      seq,
-		Changes:  prev.Changes + len(cs.Changes),
-		Inserts:  prev.Inserts + cs.InsertCount(),
-		Removals: prev.Removals + cs.RemovalCount(),
-		Results:  results,
-		Engines:  s.rt.EngineTotals(),
-		At:       time.Now(),
-	})
-
-	s.mu.Lock()
-	s.phases.UpdateCount++
-	s.phases.UpdateTotal += elapsed
-	s.phases.UpdateLast = elapsed
-	if results[EngineQ2] != results[EngineQ2CC] {
-		s.q2Disagreements++
-	}
-	s.mu.Unlock()
 
 	for _, req := range accepted {
 		req.finish(nil)
@@ -182,7 +156,7 @@ func (s *Server) commit(ref *refState, batch []updateReq) {
 // disagrees with the base snapshot, and serving writes on top would
 // diverge. On success it writes a fresh durable snapshot so the next
 // restart replays nothing.
-func (s *Server) replayWAL(ref *refState, batches []wal.Batch) bool {
+func (s *Server) replayWAL(check *model.Checker, batches []wal.Batch) bool {
 	start := time.Now()
 	replayed := 0
 	for i, b := range batches {
@@ -190,27 +164,14 @@ func (s *Server) replayWAL(ref *refState, batches []wal.Batch) bool {
 		s.replayDone = i
 		s.mu.Unlock()
 		replayed += len(b.Changes)
-		cs := &model.ChangeSet{Changes: b.Changes}
-		if err := ref.applyAll(b.Changes); err != nil {
+		if err := check.ApplyAll(b.Changes); err != nil {
 			s.setBroken(fmt.Errorf("wal replay: batch seq %d: %w", b.Seq, err))
 			return false
 		}
-		s.applyDurable(cs)
-		results, err := s.rt.Commit(cs)
-		if err != nil {
+		if err := s.applyAndPublish(int(b.Seq), &model.ChangeSet{Changes: b.Changes}); err != nil {
 			s.setBroken(fmt.Errorf("wal replay: commit seq %d: %w", b.Seq, err))
 			return false
 		}
-		prev := s.snap.Load()
-		s.snap.Store(&Snapshot{
-			Seq:      int(b.Seq),
-			Changes:  prev.Changes + len(b.Changes),
-			Inserts:  prev.Inserts + cs.InsertCount(),
-			Removals: prev.Removals + cs.RemovalCount(),
-			Results:  results,
-			Engines:  s.rt.EngineTotals(),
-			At:       time.Now(),
-		})
 	}
 	last := int(batches[len(batches)-1].Seq)
 	s.snapshotDurable(last)
@@ -221,6 +182,46 @@ func (s *Server) replayWAL(ref *refState, batches []wal.Batch) bool {
 	s.recovery.Duration = time.Since(start)
 	s.mu.Unlock()
 	return true
+}
+
+// applyAndPublish is the one commit step of live commits and startup
+// replay alike. It folds the batch into the materialized model state (when
+// persistent), commits it through the sharded runtime — whose barrier
+// returns only once every shard has applied its slice — publishes the new
+// Snapshot at seq, and cross-checks the two Q2 engines' answers. The batch
+// must already have passed the integrity checker and, when persistent, be
+// in the WAL. An error means the shards may have diverged.
+func (s *Server) applyAndPublish(seq int, cs *model.ChangeSet) error {
+	if s.wal != nil {
+		s.applyDurable(cs)
+	}
+	start := time.Now()
+	results, err := s.rt.Commit(cs)
+	if err != nil {
+		return err
+	}
+	elapsed := time.Since(start)
+
+	prev := s.snap.Load()
+	s.snap.Store(&Snapshot{
+		Seq:      seq,
+		Changes:  prev.Changes + len(cs.Changes),
+		Inserts:  prev.Inserts + cs.InsertCount(),
+		Removals: prev.Removals + cs.RemovalCount(),
+		Results:  results,
+		Engines:  s.rt.EngineTotals(),
+		At:       time.Now(),
+	})
+
+	s.mu.Lock()
+	s.phases.UpdateCount++
+	s.phases.UpdateTotal += elapsed
+	s.phases.UpdateLast = elapsed
+	if results[EngineQ2] != results[EngineQ2CC] {
+		s.q2Disagreements++
+	}
+	s.mu.Unlock()
+	return nil
 }
 
 // applyDurable folds a committed batch into the writer's materialized
@@ -279,20 +280,14 @@ func (s *Server) noteSnapStall(d time.Duration) {
 // snapshot, so durability degrades to a longer replay — but it is counted
 // and surfaced in /stats.
 //
-// Called by the writer goroutine. By default the writer only pays the O(1)
-// copy-on-write handoff: a background goroutine streams the view to disk
-// chunk by chunk while the writer returns to draining the queue. With
-// Config.BlockingSnapshots the whole encode runs inline (the pre-streaming
-// behavior, kept for the stall benchmark).
+// Called by the writer goroutine, which only pays the O(1) copy-on-write
+// handoff: a background goroutine streams the view to disk chunk by chunk
+// while the writer returns to draining the queue.
 func (s *Server) snapshotDurable(seq int) {
 	s.mu.Lock()
 	last := s.lastSnap
 	s.mu.Unlock()
 	if seq == last {
-		return
-	}
-	if s.cfg.BlockingSnapshots {
-		s.snapshotBlocking(seq)
 		return
 	}
 	if s.snapInProgress.Load() {
@@ -315,7 +310,7 @@ func (s *Server) snapshotDurable(seq int) {
 		defer close(done)
 		encStart := time.Now()
 		err := s.wal.WriteSnapshotStream(uint64(seq), meta, view, s.streamChunk)
-		s.finishSnapshot(seq, encStart, true, err)
+		s.finishSnapshot(seq, encStart, err)
 		s.snapInProgress.Store(false)
 	}()
 	s.noteSnapStall(time.Since(start))
@@ -325,16 +320,14 @@ func (s *Server) snapshotDurable(seq int) {
 // snapInProgress only *after* this returns: single-flighting means a newer
 // encode cannot start — and so cannot write its bookkeeping — until the
 // older one's has landed, which keeps lastSnap monotone.
-func (s *Server) finishSnapshot(seq int, start time.Time, streamed bool, err error) {
+func (s *Server) finishSnapshot(seq int, start time.Time, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
 	case err == nil:
-		if streamed {
-			// Counted only on success: streamedSnapshots is the "streaming
-			// works" probe and must stay zero when no encode ever lands.
-			s.snapStreams++
-		}
+		// Counted only on success: streamedSnapshots is the "streaming
+		// works" probe and must stay zero when no encode ever lands.
+		s.snapStreams++
 		s.lastSnap = seq
 		s.lastSnapDur = time.Since(start)
 	case errors.Is(err, wal.ErrSnapshotAborted):
@@ -357,22 +350,10 @@ func (s *Server) streamChunk(written int) error {
 	return nil
 }
 
-// snapshotBlocking is the pre-streaming inline path (Config.
-// BlockingSnapshots): the writer stalls for the whole encode+fsync. Kept
-// so the stall benchmark has its baseline.
-func (s *Server) snapshotBlocking(seq int) {
-	start := time.Now()
-	s.snapInProgress.Store(true)
-	err := s.wal.WriteSnapshot(uint64(seq), uint64(s.snap.Load().Changes), s.curr)
-	s.finishSnapshot(seq, start, false, err)
-	s.snapInProgress.Store(false)
-	s.noteSnapStall(time.Since(start))
-}
-
 // snapshotFinal writes the shutdown snapshot synchronously — a draining
-// server has nothing better to do — through the same streaming encoder.
-// snapInProgress stays set for the duration so /healthz reports the
-// final-snapshot drain instead of looking idle and healthy.
+// server has nothing better to do. snapInProgress stays set for the
+// duration so /healthz reports the final-snapshot drain instead of looking
+// idle and healthy.
 func (s *Server) snapshotFinal(seq int) {
 	s.mu.Lock()
 	last := s.lastSnap
@@ -380,13 +361,9 @@ func (s *Server) snapshotFinal(seq int) {
 	if seq == last {
 		return
 	}
-	if s.cfg.BlockingSnapshots {
-		s.snapshotBlocking(seq)
-		return
-	}
 	s.snapInProgress.Store(true)
 	start := time.Now()
 	err := s.wal.WriteSnapshotStream(uint64(seq), uint64(s.snap.Load().Changes), s.curr, s.streamChunk)
-	s.finishSnapshot(seq, start, true, err)
+	s.finishSnapshot(seq, start, err)
 	s.snapInProgress.Store(false)
 }

@@ -206,7 +206,7 @@ func TestCompactedWALRecoveryOracle(t *testing.T) {
 		PersistDir:    dir,
 		Fsync:         wal.SyncOff,
 		SnapshotEvery: -1,  // the WAL tail is the whole history
-		SegmentBytes:  512, // tiny segments: most of the history seals
+		segmentBytes:  512, // tiny segments: most of the history seals
 		FlushInterval: time.Millisecond,
 	}
 	srv, err := New(cfg)
@@ -296,7 +296,7 @@ func TestServerCompactEvery(t *testing.T) {
 		PersistDir:    dir,
 		Fsync:         wal.SyncOff,
 		SnapshotEvery: -1,
-		SegmentBytes:  1024,
+		segmentBytes:  1024,
 		CompactEvery:  4,
 		FlushInterval: time.Millisecond,
 	})

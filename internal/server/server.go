@@ -9,13 +9,13 @@
 //
 // Write path: Enqueue → buffered queue → the batching goroutine drains
 // requests into one batch (bounded by MaxBatch changes or FlushInterval,
-// whichever comes first), validates each request against the reference
-// state, then commits the merged change set through the sharded runtime —
-// one writer goroutine per shard applies its slice behind a commit barrier,
-// so the new Snapshot is published only once the batch is visible on every
-// shard and wait=1 keeps meaning "globally visible". Read path: an atomic
-// pointer load merging nothing at all — per-shard answers were merged at
-// commit time.
+// whichever comes first), validates each request through the integrity
+// checker (model.Checker), then commits the merged change set through the
+// sharded runtime — one writer goroutine per shard applies its slice
+// behind a commit barrier, so the new Snapshot is published only once the
+// batch is visible on every shard and wait=1 keeps meaning "globally
+// visible". Read path: an atomic pointer load merging nothing at all —
+// per-shard answers were merged at commit time.
 package server
 
 import (
@@ -91,20 +91,14 @@ type Config struct {
 	// numbers survive). 0 disables compaction; only meaningful with
 	// PersistDir.
 	CompactEvery int
-	// SegmentBytes overrides the WAL's segment rotation threshold (default
-	// 4 MiB). A tuning/testing knob: compaction only ever works on sealed
-	// segments, so tests use small segments to exercise it.
-	SegmentBytes int64
-	// BlockingSnapshots restores the pre-streaming snapshot path: the
-	// writer encodes and fsyncs the whole image inline, stalling the queue
-	// for the duration. Kept so BenchmarkSnapshotStall can measure the
-	// stall the streaming encoder removes; production wants the default
-	// (false = copy-on-write handoff to a background encoder).
-	BlockingSnapshots bool
 
+	// Test hooks (same package only). segmentBytes overrides the WAL's
+	// segment rotation threshold: compaction only ever works on sealed
+	// segments, so tests use small segments to exercise it.
 	// snapshotChunkBytes overrides the streaming encoder's chunk size and
-	// snapshotChunkHook observes every flushed chunk — test hooks (same
-	// package only) for pinning down encode/commit interleavings.
+	// snapshotChunkHook observes every flushed chunk, for pinning down
+	// encode/commit interleavings.
+	segmentBytes       int64
 	snapshotChunkBytes int
 	snapshotChunkHook  func(written int)
 }
@@ -163,9 +157,6 @@ func (c Config) Validate() error {
 	}
 	if c.CompactEvery < 0 {
 		return fmt.Errorf("compact every must be >= 0 (got %d; 0 disables)", c.CompactEvery)
-	}
-	if c.SegmentBytes < 0 {
-		return fmt.Errorf("segment bytes must be >= 0 (got %d; 0 means the default)", c.SegmentBytes)
 	}
 	return nil
 }
@@ -266,10 +257,10 @@ type Server struct {
 	snapErrs    int
 	// Streaming-snapshot counters (guarded by mu): lastSnapStall/
 	// maxSnapStall record how long the writer was actually paused on
-	// snapshot work (the O(1) view handoff, a copy-on-write clone, or —
-	// under BlockingSnapshots — the whole encode); snapStreams/snapSkips
-	// count background encodes started and cadence points skipped because
-	// one was still in flight; cowClones counts edge-array detaches.
+	// snapshot work (the O(1) view handoff or a copy-on-write clone);
+	// snapStreams/snapSkips count background encodes started and cadence
+	// points skipped because one was still in flight; cowClones counts
+	// edge-array detaches.
 	lastSnapStall time.Duration
 	maxSnapStall  time.Duration
 	snapStreams   int
@@ -292,7 +283,8 @@ type Server struct {
 // touched — that is the point), and any WAL batches committed after it are
 // replayed through the engines in the background before the server reports
 // ready; a fresh directory starts from the dataset and seeds it with the
-// seq-0 snapshot.
+// seq-0 snapshot. A base state that violates referential integrity is an
+// error wrapping model.ErrIntegrity.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -309,7 +301,7 @@ func New(cfg Config) (*Server, error) {
 			Dir:                cfg.PersistDir,
 			Sync:               cfg.Fsync,
 			SyncInterval:       cfg.FsyncInterval,
-			SegmentBytes:       cfg.SegmentBytes,
+			SegmentBytes:       cfg.segmentBytes,
 			SnapshotChunkBytes: cfg.snapshotChunkBytes,
 		})
 		if err != nil {
@@ -341,6 +333,14 @@ func New(cfg Config) (*Server, error) {
 				d = datagen.Generate(datagen.Config{ScaleFactor: cfg.ScaleFactor, Seed: cfg.Seed})
 			}
 		}
+	}
+
+	// The base state must itself satisfy the integrity rules every update
+	// is admitted under; the checker validates it as it loads.
+	check, err := model.NewChecker(d.Snapshot)
+	if err != nil {
+		closeWAL()
+		return nil, fmt.Errorf("server: base state: %w", err)
 	}
 
 	grb.SetThreads(cfg.Threads)
@@ -388,7 +388,7 @@ func New(cfg Config) (*Server, error) {
 	if s.wal != nil && !rec.HasSnapshot {
 		// Seed a fresh durability directory with the base state so recovery
 		// never needs the dataset again.
-		if err := s.wal.WriteSnapshot(uint64(baseSeq), uint64(baseChanges), d.Snapshot); err != nil {
+		if err := s.wal.WriteSnapshotStream(uint64(baseSeq), uint64(baseChanges), d.Snapshot, nil); err != nil {
 			s.rt.Close()
 			s.wal.Close()
 			return nil, fmt.Errorf("server: seed snapshot: %w", err)
@@ -399,7 +399,7 @@ func New(cfg Config) (*Server, error) {
 	// Readiness: immediate unless there is a WAL tail to replay, in which
 	// case the writer flips it after the replay commits.
 	s.ready.Store(len(rec.Batches) == 0)
-	go s.writer(newRefState(d.Snapshot), rec.Batches)
+	go s.writer(check, rec.Batches)
 	return s, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -287,6 +288,26 @@ func TestUpdateValidation(t *testing.T) {
 	getJSON(t, ts.URL+"/query/q1", &qr)
 	if qr.Result != before.Results[EngineQ1] {
 		t.Errorf("Q1 result changed across rejected updates: %q vs %q", qr.Result, before.Results[EngineQ1])
+	}
+}
+
+// TestNewRejectsInvalidBaseDataset: the base state must satisfy the same
+// integrity rules updates are admitted under, so a snapshot with a like on
+// a missing comment is an error, and a durability directory is not seeded
+// with it.
+func TestNewRejectsInvalidBaseDataset(t *testing.T) {
+	d := model.ExampleDataset()
+	d.Snapshot.Likes = append(d.Snapshot.Likes, model.Like{UserID: model.U1, CommentID: 999})
+	dir := t.TempDir()
+	srv, err := New(Config{Dataset: d, PersistDir: dir})
+	if !errors.Is(err, model.ErrIntegrity) {
+		if err == nil {
+			srv.Close()
+		}
+		t.Fatalf("New = %v, want an integrity violation", err)
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*")); len(snaps) != 0 {
+		t.Errorf("rejected base dataset was snapshotted: %v", snaps)
 	}
 }
 

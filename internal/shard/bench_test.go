@@ -4,22 +4,20 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/model"
 )
 
 // donorFixture builds a 2-shard workload in which a small group (the
 // migrated-group size, fixed) bridges into a big group on the other shard,
 // forcing the donor — which also holds a `remaining`-sized partition — to
-// repair or reload. The deterministic initial placement puts the biggest
-// group alone on shard 0 and the remaining + small groups on shard 1, so
-// the bridge always migrates the small group 1→0 and the donor's surviving
-// partition has exactly `remaining`+1 entities.
+// give the small group up. The deterministic initial placement puts the
+// biggest group alone on shard 0 and the remaining + small groups on shard
+// 1, so the bridge always migrates the small group 1→0 and the donor's
+// surviving partition has exactly `remaining`+1 entities.
 //
-// The tentpole's claim is measured by sweeping `remaining` with the group
-// size fixed: incremental repair (DeltaEngine retraction) stays flat while
-// the reload fallback grows with the surviving partition.
+// Sweeping `remaining` with the group size fixed shows the flat-vs-linear
+// contrast: incremental repair (DeltaEngine retraction) stays flat, while
+// rebuilding the donor's Q2 engines grows with the surviving partition.
 func donorFixture(remaining, group int) (*model.Snapshot, *model.ChangeSet) {
 	big := remaining + group + 10 // strictly biggest: placed first, wins the merge
 	snap := &model.Snapshot{Posts: []model.Post{{ID: 1, Timestamp: 1}}}
@@ -40,68 +38,96 @@ func donorFixture(remaining, group int) (*model.Snapshot, *model.ChangeSet) {
 	return snap, bridge
 }
 
-func benchDonor(b *testing.B, wantRepair bool) {
+// sweepDonor runs bench once per surviving-partition size.
+func sweepDonor(b *testing.B, bench func(b *testing.B, snap *model.Snapshot, bridge *model.ChangeSet)) {
 	const group = 8
 	for _, remaining := range []int{1 << 10, 1 << 12, 1 << 14} {
 		b.Run(fmt.Sprintf("remaining%d", remaining), func(b *testing.B) {
 			snap, bridge := donorFixture(remaining, group)
-			var repairNs float64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				rt, err := New(2, snap.Clone())
-				if err != nil {
-					b.Fatal(err)
-				}
-				cs := &model.ChangeSet{Changes: append([]model.Change(nil), bridge.Changes...)}
-				b.StartTimer()
-				if _, err := rt.Commit(cs); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				repairs, reloads := 0, 0
-				for _, st := range rt.ShardStats() {
-					repairs += st.Repairs
-					reloads += st.Reloads
-					repairNs += float64(st.RepairTotal.Nanoseconds())
-				}
-				if wantRepair && (repairs == 0 || reloads != 0) {
-					b.Fatalf("expected incremental repair, got repairs=%d reloads=%d", repairs, reloads)
-				}
-				if !wantRepair && reloads == 0 {
-					b.Fatalf("expected reload fallback, got repairs=%d reloads=%d", repairs, reloads)
-				}
-				rt.Close()
-			}
-			if wantRepair {
-				// The retraction itself (the part that replaced the reload);
-				// the surrounding ns/op also pays commit bookkeeping and the
-				// per-commit stats observation.
-				b.ReportMetric(repairNs/float64(b.N), "repair-ns/op")
-			}
+			bench(b, snap, bridge)
 		})
 	}
 }
 
-// BenchmarkDonorRepair times the cross-shard merge commit when the donor
-// subtracts the migrated group through core.DeltaEngine: cost tracks the
-// migrated-group size, not the donor's surviving partition.
-func BenchmarkDonorRepair(b *testing.B) { benchDonor(b, true) }
-
-// BenchmarkDonorReload times the same commit with the DeltaEngine
-// capability hidden, forcing the pre-refactor behavior: the donor rebuilds
-// its Q2 engines from the surviving partition, so cost grows with it.
-func BenchmarkDonorReload(b *testing.B) {
-	old := servedEngines
-	servedEngines = func() []harness.ServedEngine {
-		out := harness.ServedEngines()
-		for i := range out {
-			if out[i].Query == "Q2" {
-				inner := out[i].New
-				out[i].New = func() core.Solution { return noDelta{inner()} }
-			}
-		}
-		return out
+// newDonorRuntime starts a fresh 2-shard runtime over a copy of snap.
+func newDonorRuntime(b *testing.B, snap *model.Snapshot) *Runtime {
+	rt, err := New(2, snap.Clone())
+	if err != nil {
+		b.Fatal(err)
 	}
-	defer func() { servedEngines = old }()
-	benchDonor(b, false)
+	return rt
+}
+
+// commitBridge commits a copy of the bridge.
+func commitBridge(b *testing.B, rt *Runtime, bridge *model.ChangeSet) {
+	cs := &model.ChangeSet{Changes: append([]model.Change(nil), bridge.Changes...)}
+	if _, err := rt.Commit(cs); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// donorShard returns the one shard that repaired.
+func donorShard(b *testing.B, rt *Runtime) int {
+	donor := -1
+	for _, st := range rt.ShardStats() {
+		if st.Repairs > 0 {
+			if donor >= 0 {
+				b.Fatalf("shards %d and %d both repaired", donor, st.Shard)
+			}
+			donor = st.Shard
+		}
+	}
+	if donor < 0 {
+		b.Fatal("the bridge migrated no group")
+	}
+	return donor
+}
+
+// BenchmarkDonorRepair times the cross-shard merge commit, in which the
+// donor subtracts the migrated group through core.DeltaEngine: cost tracks
+// the migrated-group size, not the donor's surviving partition.
+// repair-ns/op is the retraction alone; ns/op also pays routing, the
+// recipient's adds and the per-commit stats observation.
+func BenchmarkDonorRepair(b *testing.B) {
+	sweepDonor(b, func(b *testing.B, snap *model.Snapshot, bridge *model.ChangeSet) {
+		var repairNs float64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			rt := newDonorRuntime(b, snap)
+			b.StartTimer()
+			commitBridge(b, rt, bridge)
+			b.StopTimer()
+			repairNs += float64(rt.ShardStats()[donorShard(b, rt)].RepairTotal.Nanoseconds())
+			rt.Close()
+		}
+		b.ReportMetric(repairNs/float64(b.N), "repair-ns/op")
+	})
+}
+
+// BenchmarkDonorReload is the baseline the repair replaced: after the same
+// commit it times rebuilding the donor's Q2 engines from its surviving
+// partition — rendering the partition, then Load and Initial on fresh
+// engines — so cost grows with the partition.
+func BenchmarkDonorReload(b *testing.B) {
+	sweepDonor(b, func(b *testing.B, snap *model.Snapshot, bridge *model.ChangeSet) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			rt := newDonorRuntime(b, snap)
+			commitBridge(b, rt, bridge)
+			donor := donorShard(b, rt)
+			b.StartTimer()
+			part := rt.router.q2Snapshot(donor)
+			for _, e := range q2Lineup {
+				sol := e.new()
+				if err := sol.Load(part); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sol.Initial(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			rt.Close()
+		}
+	})
 }

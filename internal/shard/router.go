@@ -24,16 +24,16 @@ import (
 //     each resulting group lives wholly on one shard, which makes every
 //     shard's Q2 scores exact for the comments it owns. When a new edge
 //     merges two groups living on different shards, the router migrates the
-//     smaller (by materialized entities) group to the other shard and the
-//     donor shard rebuilds its Q2 engines from its remaining partition.
+//     smaller (by materialized entities) group to the other shard: the
+//     donor retracts it from its Q2 engines and the recipient adds it.
 //
 //     Comments with no likes are not assigned to any shard at all: they
 //     score exactly 0, so the router parks them locally and ranks the
 //     parked set as one more (virtual) partition at merge time. A parked
 //     comment materializes directly onto its first liker's shard, which
 //     keeps the common arrival order "comment now, first like a few
-//     commits later" migration-free — donor rebuilds happen only when a
-//     new edge genuinely merges two populated groups across shards.
+//     commits later" migration-free — migrations happen only when a new
+//     edge genuinely merges two populated groups across shards.
 //
 // Removals (the future-work workload) never split router groups: a
 // union-find cannot un-union, so the grouping over-approximates the true
@@ -64,7 +64,7 @@ func (k nodeKey) less(o nodeKey) bool {
 
 // q2state is the authoritative content of one shard's Q2 partition: the
 // users and comments it owns plus the edges among them. It is what moves
-// during a rebalance and what a donor shard's engines reload from.
+// during a rebalance and what a shard's Q2 engines load from at startup.
 type q2state struct {
 	users    map[model.ID]struct{}
 	comments map[model.ID]model.Comment
@@ -107,16 +107,6 @@ func newPlan(n int) *plan {
 		q2:  make([][]model.Change, n),
 		ops: make([][]shardOp, n),
 	}
-}
-
-// hasRetraction reports whether shard s donates a group this commit.
-func (p *plan) hasRetraction(s int) bool {
-	for i := range p.ops[s] {
-		if p.ops[s][i].retract != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // router holds all partitioning state. It is confined to the runtime's
@@ -361,8 +351,8 @@ func (r *router) mergeRoots(ra, rb, shard int) int {
 // union merges the groups of a and b during a commit. If the groups live on
 // different shards, the side with fewer materialized entities migrates to
 // the other side's shard: its entities and edges move between q2states, the
-// donor shard is marked dirty (engine rebuild), and the recipient receives
-// synthetic add-changes replaying the moved subgraph.
+// donor shard receives the moved subgraph as a retraction, and the
+// recipient receives synthetic add-changes replaying it.
 func (r *router) union(a, b nodeKey, p *plan) error {
 	na, err := r.lookup(a)
 	if err != nil {
@@ -393,9 +383,8 @@ func (r *router) union(a, b nodeKey, p *plan) error {
 
 // migrate moves the materialized entities of the group rooted at loser from
 // its current shard to dest: the moved subgraph is expressed once as a
-// keyed delta, queued for the donor as a retraction (a core.DeltaEngine
-// subtracts it; engines without the capability fall back to a reload) and
-// for the recipient as synthetic add-changes. All materialized members of a
+// keyed delta, queued for the donor as a retraction (its core.DeltaEngine
+// Q2 engines subtract it) and for the recipient as synthetic add-changes. All materialized members of a
 // group live on its shard and all their Q2-relevant edges are intra-group,
 // so moving the member list moves a complete, self-contained subgraph —
 // exactly the precondition DeltaEngine.Retract requires.
@@ -661,8 +650,7 @@ func (r *router) parkedTopK() core.Result {
 
 // q2Snapshot renders shard s's current Q2 partition as a loadable
 // snapshot: all posts (broadcast), plus the shard's owned users, comments
-// and intra-partition edges. Used at startup and whenever a rebalance
-// dirties the shard.
+// and intra-partition edges. Used at startup.
 func (r *router) q2Snapshot(s int) *model.Snapshot {
 	st := r.states[s]
 	out := &model.Snapshot{Posts: append([]model.Post(nil), r.posts...)}

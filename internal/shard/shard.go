@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/model"
 )
 
@@ -35,12 +34,9 @@ type Stats struct {
 	Depth int
 	// Commits counts commands the shard's writer has applied.
 	Commits int
-	// Repairs counts donor-side group migrations applied incrementally
-	// through core.DeltaEngine; Reloads counts full Q2 engine rebuilds
-	// (engines without the capability). Repairs + Reloads commits carried a
-	// donated group.
+	// Repairs counts commits in which the shard donated a Q2 group and
+	// retracted it from its engines through core.DeltaEngine.
 	Repairs int
-	Reloads int
 	// Last and Total aggregate the shard's apply latencies; RepairLast and
 	// RepairTotal the subtractive-delta portion of repair commits.
 	Last        time.Duration
@@ -65,12 +61,37 @@ func (s Stats) RepairMean() time.Duration {
 	return s.RepairTotal / time.Duration(s.Repairs)
 }
 
-// engineInst is one warm engine on one shard.
-type engineInst struct {
-	key     string
-	factory harness.Factory
-	sol     core.Solution
+// q2Engine is the contract of a served Q2 engine: besides answering the
+// query it must retract, because a donor shard subtracts a migrated group
+// from its engines instead of rebuilding them.
+type q2Engine interface {
+	core.Solution
+	core.DeltaEngine
 }
+
+// engineInst is one warm engine on one shard, under its served key.
+type engineInst[S core.Solution] struct {
+	key string
+	sol S
+}
+
+// The served lineup, in serving order: every shard keeps one warm instance
+// of each engine, keyed as the serving layer names them.
+var (
+	q1Lineup = []struct {
+		key string
+		new func() core.Solution
+	}{
+		{"q1", func() core.Solution { return core.NewQ1Incremental() }},
+	}
+	q2Lineup = []struct {
+		key string
+		new func() q2Engine
+	}{
+		{"q2", func() q2Engine { return core.NewQ2Incremental() }},
+		{"q2cc", func() q2Engine { return core.NewQ2IncrementalCC() }},
+	}
+)
 
 // command is one commit's slice of work for a single shard.
 type command struct {
@@ -78,13 +99,8 @@ type command struct {
 	q2 []model.Change // group-routed stream, applied after ops
 	// ops are the shard's chronological migration steps: retractions when it
 	// donates a group, synthetic adds when it receives one.
-	ops []shardOp
-	// reload is the fallback for Q2 engines without the core.DeltaEngine
-	// capability: set (to the post-commit partition snapshot) only when ops
-	// contain a retraction some engine cannot apply subtractively. Capable
-	// engines still repair incrementally; incapable ones rebuild from it.
-	reload *model.Snapshot
-	resp   chan<- response
+	ops  []shardOp
+	resp chan<- response
 }
 
 type response struct {
@@ -93,7 +109,6 @@ type response struct {
 	results   map[string]core.Result
 	stats     map[string]core.EngineStats
 	repaired  bool // a donated group was subtracted via DeltaEngine
-	reloaded  bool // a donated group forced a full engine rebuild
 	repairDur time.Duration
 	elapsed   time.Duration
 }
@@ -104,13 +119,9 @@ type worker struct {
 	id   int
 	cmds chan command
 	done chan struct{}
-	q1   []engineInst
-	q2   []engineInst
+	q1   []engineInst[core.Solution]
+	q2   []engineInst[q2Engine]
 }
-
-// servedEngines resolves the engine lineup; a variable so tests can stub a
-// lineup without the DeltaEngine capability to exercise the reload fallback.
-var servedEngines = harness.ServedEngines
 
 // Runtime is the sharded engine runtime. New loads the partitions and
 // starts one writer goroutine per shard; Commit routes and applies one
@@ -121,9 +132,6 @@ type Runtime struct {
 	n       int
 	router  *router
 	workers []*worker
-	// deltaCapable is true when every Q2 engine implements core.DeltaEngine,
-	// so a donor repairs incrementally and no reload snapshot is ever built.
-	deltaCapable bool
 
 	loadDur    time.Duration
 	initialDur time.Duration
@@ -170,23 +178,14 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 	}
 	for s := 0; s < n; s++ {
 		w := &worker{id: s, cmds: make(chan command, 1), done: make(chan struct{})}
-		for _, e := range servedEngines() {
-			inst := engineInst{key: e.Key, factory: e.New, sol: e.New()}
-			if e.Query == "Q1" {
-				w.q1 = append(w.q1, inst)
-			} else {
-				w.q2 = append(w.q2, inst)
-			}
+		for _, e := range q1Lineup {
+			w.q1 = append(w.q1, engineInst[core.Solution]{e.key, e.new()})
+		}
+		for _, e := range q2Lineup {
+			w.q2 = append(w.q2, engineInst[q2Engine]{e.key, e.new()})
 		}
 		rt.workers[s] = w
 		rt.meta[s].Shard = s
-	}
-	rt.deltaCapable = true
-	for _, e := range rt.workers[0].q2 {
-		if _, ok := e.sol.(core.DeltaEngine); !ok {
-			rt.deltaCapable = false
-			break
-		}
 	}
 
 	errs := make([]error, n)
@@ -250,10 +249,12 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 	return rt, nil
 }
 
-func (w *worker) engines() []engineInst {
-	out := make([]engineInst, 0, len(w.q1)+len(w.q2))
-	out = append(out, w.q1...)
-	return append(out, w.q2...)
+func (w *worker) engines() []engineInst[core.Solution] {
+	out := append(make([]engineInst[core.Solution], 0, len(w.q1)+len(w.q2)), w.q1...)
+	for _, e := range w.q2 {
+		out = append(out, engineInst[core.Solution]{e.key, e.sol})
+	}
+	return out
 }
 
 // observe captures every engine's last committed answer and state size.
@@ -296,79 +297,47 @@ func (w *worker) apply(cmd command, resp *response) error {
 			}
 		}
 	}
-
-	hasRetract := false
-	for i := range cmd.ops {
-		if cmd.ops[i].retract != nil {
-			hasRetract = true
-			break
-		}
-	}
-	if !hasRetract {
-		// No donation: any ops are purely additive (migrated-in subgraphs),
-		// so they merge ahead of the routed stream into one update.
-		q2 := cmd.q2
-		if len(cmd.ops) > 0 {
-			var merged []model.Change
-			for i := range cmd.ops {
-				merged = append(merged, cmd.ops[i].synthetic...)
+	for _, e := range w.q2 {
+		// The ops replay in order. Migrated-in subgraphs are additive, so
+		// they batch up with whatever follows them; a retraction (this shard
+		// donating a group) first applies the adds queued ahead of it. The
+		// last batch carries the routed stream, so a commit without ops is
+		// one plain update.
+		var adds []model.Change
+		for _, op := range cmd.ops {
+			if op.retract == nil {
+				adds = append(adds, op.synthetic...)
+				continue
 			}
-			q2 = append(merged, cmd.q2...)
-		}
-		if len(q2) > 0 {
-			cs := &model.ChangeSet{Changes: q2}
-			for _, e := range w.q2 {
-				if _, err := e.sol.Update(cs); err != nil {
-					return fmt.Errorf("shard %d: %s update: %w", w.id, e.sol.Name(), err)
-				}
+			if err := w.update(e, adds); err != nil {
+				return err
 			}
-		}
-		return nil
-	}
-
-	// Donor path: engines with the DeltaEngine capability replay the ops in
-	// order — retractions subtractively, migrated-in groups additively —
-	// then the routed stream; engines without it rebuild from the
-	// post-commit partition snapshot instead (the reload this refactor
-	// makes the exception rather than the rule).
-	for i := range w.q2 {
-		e := &w.q2[i]
-		if de, ok := e.sol.(core.DeltaEngine); ok {
+			adds = nil
 			start := time.Now()
-			for _, op := range cmd.ops {
-				if op.retract != nil {
-					if _, err := de.Retract(op.retract); err != nil {
-						return fmt.Errorf("shard %d: %s retract: %w", w.id, e.sol.Name(), err)
-					}
-				} else if len(op.synthetic) > 0 {
-					cs := &model.ChangeSet{Changes: op.synthetic}
-					if _, err := e.sol.Update(cs); err != nil {
-						return fmt.Errorf("shard %d: %s update: %w", w.id, e.sol.Name(), err)
-					}
-				}
+			if _, err := e.sol.Retract(op.retract); err != nil {
+				return fmt.Errorf("shard %d: %s retract: %w", w.id, e.sol.Name(), err)
 			}
 			resp.repairDur += time.Since(start)
 			resp.repaired = true
-			if len(cmd.q2) > 0 {
-				cs := &model.ChangeSet{Changes: cmd.q2}
-				if _, err := e.sol.Update(cs); err != nil {
-					return fmt.Errorf("shard %d: %s update: %w", w.id, e.sol.Name(), err)
-				}
-			}
-			continue
 		}
-		if cmd.reload == nil {
-			return fmt.Errorf("shard %d: %s cannot retract and no reload snapshot was provided", w.id, e.sol.Name())
+		q2 := cmd.q2
+		if len(adds) > 0 {
+			q2 = append(adds, cmd.q2...)
 		}
-		sol := e.factory()
-		if err := sol.Load(cmd.reload); err != nil {
-			return fmt.Errorf("shard %d: %s reload: %w", w.id, sol.Name(), err)
+		if err := w.update(e, q2); err != nil {
+			return err
 		}
-		if _, err := sol.Initial(); err != nil {
-			return fmt.Errorf("shard %d: %s reload initial: %w", w.id, sol.Name(), err)
-		}
-		e.sol = sol
-		resp.reloaded = true
+	}
+	return nil
+}
+
+// update applies one batch of Q2 changes to e; an empty batch is a no-op.
+func (w *worker) update(e engineInst[q2Engine], changes []model.Change) error {
+	if len(changes) == 0 {
+		return nil
+	}
+	if _, err := e.sol.Update(&model.ChangeSet{Changes: changes}); err != nil {
+		return fmt.Errorf("shard %d: %s update: %w", w.id, e.sol.Name(), err)
 	}
 	return nil
 }
@@ -388,12 +357,6 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (map[string]string, error) {
 	active := 0
 	for s := 0; s < rt.n; s++ {
 		cmd := command{q1: p.q1[s], q2: p.q2[s], ops: p.ops[s], resp: respCh}
-		if !rt.deltaCapable && p.hasRetraction(s) {
-			// Some engine will need the reload fallback; the snapshot is
-			// built only then — when every engine repairs incrementally the
-			// O(partition) snapshot walk never happens.
-			cmd.reload = rt.router.q2Snapshot(s)
-		}
 		if len(cmd.q1) == 0 && len(cmd.q2) == 0 && len(cmd.ops) == 0 {
 			continue
 		}
@@ -424,9 +387,6 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (map[string]string, error) {
 				m.RepairLast = resp.repairDur
 				m.RepairTotal += resp.repairDur
 			}
-			if resp.reloaded {
-				m.Reloads++
-			}
 			rt.last[resp.shard] = resp.results
 			rt.lastStats[resp.shard] = resp.stats
 		}
@@ -447,15 +407,19 @@ func (rt *Runtime) Results() map[string]string {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	out := make(map[string]string)
-	for _, e := range servedEngines() {
+	merge := func(key string, parked core.Result) {
 		rt.merge.Reset()
-		if e.Query == "Q2" {
-			rt.merge.Merge(parked)
-		}
+		rt.merge.Merge(parked)
 		for s := 0; s < rt.n; s++ {
-			rt.merge.Merge(rt.last[s][e.Key])
+			rt.merge.Merge(rt.last[s][key])
 		}
-		out[e.Key] = rt.merge.Result().String()
+		out[key] = rt.merge.Result().String()
+	}
+	for _, e := range q1Lineup {
+		merge(e.key, nil)
+	}
+	for _, e := range q2Lineup {
+		merge(e.key, parked)
 	}
 	return out
 }
@@ -465,10 +429,6 @@ func (rt *Runtime) Results() map[string]string {
 // users in Q1 partitions, posts in Q2 partitions — take the maximum, so
 // the totals count distinct entities rather than replicas.
 func (rt *Runtime) EngineTotals() map[string]core.EngineStats {
-	queryOf := make(map[string]string)
-	for _, e := range servedEngines() {
-		queryOf[e.Key] = e.Query
-	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	out := make(map[string]core.EngineStats)
@@ -478,7 +438,7 @@ func (rt *Runtime) EngineTotals() map[string]core.EngineStats {
 			t.Comments += st.Comments
 			t.NNZ += st.NNZ
 			t.Pending += st.Pending
-			if queryOf[key] == "Q1" {
+			if isQ1(key) {
 				t.Posts += st.Posts
 				t.Users = max(t.Users, st.Users)
 			} else {
@@ -489,6 +449,16 @@ func (rt *Runtime) EngineTotals() map[string]core.EngineStats {
 		}
 	}
 	return out
+}
+
+// isQ1 reports whether key names a Q1-family engine of the lineup.
+func isQ1(key string) bool {
+	for _, e := range q1Lineup {
+		if e.key == key {
+			return true
+		}
+	}
+	return false
 }
 
 // ShardStats reports each shard's queue depth and apply latencies. Safe

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/harness"
 	"repro/internal/model"
 )
 
@@ -229,8 +228,8 @@ func rebalanceFixture() *model.Snapshot {
 
 // TestRebalanceOnCrossShardMerge forces the rebalance path: a friendship
 // bridging two groups that live on different shards must migrate one group
-// (donor engines reload), and results must stay identical to a single
-// shard's.
+// (the donor retracts it from its Q2 engines), and results must stay
+// identical to a single shard's.
 func TestRebalanceOnCrossShardMerge(t *testing.T) {
 	snap := rebalanceFixture()
 	rt2, err := New(2, snap)
@@ -279,10 +278,9 @@ func TestRebalanceOnCrossShardMerge(t *testing.T) {
 	if rt2.Rebalances() == 0 {
 		t.Error("bridging friendship did not trigger a rebalance")
 	}
-	repairs, reloads := 0, 0
+	repairs := 0
 	for _, st := range rt2.ShardStats() {
 		repairs += st.Repairs
-		reloads += st.Reloads
 		if st.Depth != 0 {
 			t.Errorf("shard %d: nonzero depth %d after barrier", st.Shard, st.Depth)
 		}
@@ -292,88 +290,6 @@ func TestRebalanceOnCrossShardMerge(t *testing.T) {
 	}
 	if repairs == 0 {
 		t.Error("rebalance did not repair any donor shard incrementally")
-	}
-	if reloads != 0 {
-		t.Errorf("donor fell back to %d full reloads despite the DeltaEngine capability", reloads)
-	}
-}
-
-// noDelta wraps an engine, hiding a DeltaEngine implementation while
-// keeping the introspection interfaces the runtime observes — the shape of
-// a served engine that cannot retract.
-type noDelta struct {
-	core.Solution
-}
-
-func (n noDelta) LastResult() (core.Result, bool) {
-	return n.Solution.(core.ResultSnapshotter).LastResult()
-}
-
-func (n noDelta) Stats() core.EngineStats {
-	return n.Solution.(core.StatsReporter).Stats()
-}
-
-// withoutDeltaEngines stubs the served lineup so every Q2 engine lacks the
-// DeltaEngine capability, restoring it when the test ends.
-func withoutDeltaEngines(t *testing.T) {
-	t.Helper()
-	old := servedEngines
-	servedEngines = func() []harness.ServedEngine {
-		out := harness.ServedEngines()
-		for i := range out {
-			if out[i].Query == "Q2" {
-				inner := out[i].New
-				out[i].New = func() core.Solution { return noDelta{inner()} }
-			}
-		}
-		return out
-	}
-	t.Cleanup(func() { servedEngines = old })
-}
-
-// TestRebalanceReloadFallback pins the fallback: when a served Q2 engine
-// cannot retract, a donated group forces the old full reload — and answers
-// still match a single shard change for change.
-func TestRebalanceReloadFallback(t *testing.T) {
-	withoutDeltaEngines(t)
-	snap := rebalanceFixture()
-	rt2, err := New(2, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt2.Close()
-	rt1, err := New(1, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt1.Close()
-
-	cs := &model.ChangeSet{Changes: []model.Change{
-		{Kind: model.KindAddFriendship, Friendship: model.Friendship{User1: 101, User2: 200}},
-	}}
-	res2, err := rt2.Commit(cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res1, err := rt1.Commit(cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"q1", "q2", "q2cc"} {
-		if res2[key] != res1[key] {
-			t.Errorf("%s diverged under fallback: 2-shard %q vs 1-shard %q", key, res2[key], res1[key])
-		}
-	}
-	repairs, reloads := 0, 0
-	for _, st := range rt2.ShardStats() {
-		repairs += st.Repairs
-		reloads += st.Reloads
-	}
-	if reloads == 0 {
-		t.Error("incapable engines did not trigger the reload fallback")
-	}
-	if repairs != 0 {
-		t.Errorf("%d repairs recorded for a lineup without the capability", repairs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -41,12 +42,15 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 	for _, sf := range []int{1, 4} {
 		b.Run(fmt.Sprintf("sf=%d", sf), func(b *testing.B) {
 			d := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: 2018})
+			var buf bytes.Buffer
 			b.ResetTimer()
-			var n int
 			for i := 0; i < b.N; i++ {
-				n = len(encodeSnapshot(uint64(i), 0, d.Snapshot))
+				buf.Reset()
+				if err := encodeSnapshotStream(&buf, uint64(i), 0, d.Snapshot, 0, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
-			b.SetBytes(int64(n))
+			b.SetBytes(int64(buf.Len()))
 		})
 	}
 }
@@ -55,7 +59,11 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 	for _, sf := range []int{1, 4} {
 		b.Run(fmt.Sprintf("sf=%d", sf), func(b *testing.B) {
 			d := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: 2018})
-			data := encodeSnapshot(1, 0, d.Snapshot)
+			var buf bytes.Buffer
+			if err := encodeSnapshotStream(&buf, 1, 0, d.Snapshot, 0, nil); err != nil {
+				b.Fatal(err)
+			}
+			data := buf.Bytes()
 			b.SetBytes(int64(len(data)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -68,12 +76,12 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 }
 
 // BenchmarkSnapshotStall measures the worst-case *writer pause* a durable
-// snapshot inflicts, old versus new, at sf 8 (the acceptance bar for the
-// streaming refactor is a ≥10× drop):
+// snapshot inflicts at sf 8, with the snapshot written inline versus handed
+// off (the acceptance bar for the handoff is a ≥10× drop):
 //
-//   - Blocking: the pre-streaming path — the writer sits through the whole
-//     encode + temp file + fsync + rename + dir fsync. The pause is the
-//     entire call.
+//   - Blocking: the writer calls the snapshot writer inline and sits
+//     through the whole encode + temp file + fsync + rename + dir fsync.
+//     The pause is the entire call.
 //   - Streaming: the writer's pause is the O(1) copy-on-write handoff
 //     (clamped slice headers) plus, as the worst case, one COW clone of
 //     the edge arrays — what a removal batch pays while the background
@@ -94,7 +102,7 @@ func BenchmarkSnapshotStall(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			start := time.Now()
-			if err := l.WriteSnapshot(uint64(i+1), 0, d.Snapshot); err != nil {
+			if err := l.WriteSnapshotStream(uint64(i+1), 0, d.Snapshot, nil); err != nil {
 				b.Fatal(err)
 			}
 			if pause := time.Since(start); pause > worst {
@@ -152,7 +160,7 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 	defer l.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := l.WriteSnapshot(uint64(i+1), 0, d.Snapshot); err != nil {
+		if err := l.WriteSnapshotStream(uint64(i+1), 0, d.Snapshot, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -86,10 +86,10 @@ func TestSnapshotV2CorruptionFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteSnapshot(1, 0, old); err != nil { // v1 fallback
-		t.Fatal(err)
-	}
-	if err := l.WriteSnapshotStream(2, 0, newer, nil); err != nil { // v2 newest
+	// The fallback is a v1 file, as an older build wrote it; the newest
+	// is v2.
+	writeSnapshotV1(t, dir, 1, 0, old)
+	if err := l.WriteSnapshotStream(2, 0, newer, nil); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()

@@ -22,8 +22,9 @@
 // Open is the single entry point: it repairs the tail, loads the newest
 // valid snapshot, decodes the batches committed after it, verifies the
 // sequence numbers are contiguous, and returns the log ready for appends.
-// The Log's write methods (Append, WriteSnapshot) are intended for the one
-// committing goroutine; Metrics and Sync are safe from any goroutine.
+// Append and Compact are intended for the one committing goroutine;
+// WriteSnapshotStream may run beside it (see its doc), and Metrics and Sync
+// are safe from any goroutine.
 package wal
 
 import (
@@ -520,51 +521,17 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// WriteSnapshot atomically persists the full model state as of sequence
-// number seq (write to a temp file, fsync, rename, fsync the directory),
-// then trims snapshots and sealed segments the recovery procedure no
-// longer needs. The two newest snapshots are kept so a latent corruption
-// of the newest still leaves a recovery point.
-func (l *Log) WriteSnapshot(seq, meta uint64, s *model.Snapshot) error {
-	data := encodeSnapshot(seq, meta, s)
-	final := filepath.Join(l.opt.Dir, snapshotName(seq))
-	tmp := final + ".tmp"
-	if err := writeFileSync(tmp, data); err != nil {
-		// Don't leave a partial temp file behind (it would pile up on a
-		// full disk, where snapshot writes keep failing).
-		_ = os.Remove(tmp)
-		return err
-	}
-	return l.finalizeSnapshot(tmp, final, seq, int64(len(data)))
-}
-
-// finalizeSnapshot renames an fsynced snapshot temp file into place,
-// fsyncs the directory, and records the metrics + retention bookkeeping —
-// the shared tail of both snapshot writers, so the v1 and v2 paths cannot
-// drift on the visibility/trim discipline.
-func (l *Log) finalizeSnapshot(tmp, final string, seq uint64, size int64) error {
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("wal: snapshot rename: %w", err)
-	}
-	if err := syncDir(l.opt.Dir); err != nil {
-		return err
-	}
-
-	l.maintMu.Lock()
-	defer l.maintMu.Unlock()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.metrics.Snapshots++
-	l.metrics.SnapshotBytes = size
-	l.metrics.LastSnapSeq = seq
-	l.trimLocked(seq)
-	return nil
-}
-
-// WriteSnapshotStream persists the model state at seq like WriteSnapshot,
-// but in the chunked version-2 format, encoding straight to the temp file
-// through a bounded buffer (Options.SnapshotChunkBytes) instead of
-// materializing the whole image. It is safe to call concurrently with
+// WriteSnapshotStream atomically persists the full model state as of
+// sequence number seq (write to a temp file, fsync, rename, fsync the
+// directory), then trims snapshots and sealed segments the recovery
+// procedure no longer needs. The two newest snapshots are kept so a latent
+// corruption of the newest still leaves a recovery point. meta is an
+// opaque caller value stored alongside the state (the server persists its
+// committed-changes counter there).
+//
+// The image is written in the chunked version-2 format, encoded straight
+// to the temp file through a bounded buffer (Options.SnapshotChunkBytes)
+// instead of materialized whole. It is safe to call concurrently with
 // Append — the snapshot writes to its own file and only takes the log's
 // lock for the final metrics/trim bookkeeping — which is what lets a
 // serving writer hand a copy-on-write view to a background goroutine and
@@ -600,7 +567,22 @@ func (l *Log) WriteSnapshotStream(seq, meta uint64, view *model.Snapshot, onChun
 		_ = os.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)
 	}
-	return l.finalizeSnapshot(tmp, final, seq, st.Size())
+	if err := os.Rename(tmp, final); err != nil {
+		return fmt.Errorf("wal: snapshot rename: %w", err)
+	}
+	if err := syncDir(l.opt.Dir); err != nil {
+		return err
+	}
+
+	l.maintMu.Lock()
+	defer l.maintMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.metrics.Snapshots++
+	l.metrics.SnapshotBytes = st.Size()
+	l.metrics.LastSnapSeq = seq
+	l.trimLocked(seq)
+	return nil
 }
 
 // ErrSnapshotAborted is the conventional error an onChunk callback returns
