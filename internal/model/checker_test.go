@@ -93,6 +93,24 @@ func TestCheckerRules(t *testing.T) {
 	}
 }
 
+// TestCheckerRemoveMissingFriendship removes a friendship between two known
+// users with no edge, one of them added through the checker itself, so the
+// existence check (not a user check) rejects.
+func TestCheckerRemoveMissingFriendship(t *testing.T) {
+	c, err := NewChecker(checkerFixture())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ApplyAll([]Change{{Kind: KindAddUser, User: User{ID: 103}}}); err != nil {
+		t.Fatal(err)
+	}
+	err = c.ApplyAll([]Change{{Kind: KindRemoveFriendship,
+		Friendship: Friendship{User1: 100, User2: 103}}})
+	if !errors.Is(err, ErrIntegrity) || !strings.Contains(err.Error(), "does not exist") {
+		t.Fatalf("ApplyAll: %v, want integrity violation containing 'does not exist'", err)
+	}
+}
+
 // TestCheckerRollbackIsComplete applies a request whose last change is
 // invalid and checks that every earlier change was rolled back: the valid
 // prefix must then apply cleanly (no leftover entity or edge), which also
