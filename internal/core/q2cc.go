@@ -33,6 +33,9 @@ type Q2IncrementalCC struct {
 
 	friends   [][]int // user index → friend user indices
 	userLikes [][]int // user index → liked comment indices
+	// nFriends and nLikes are the total lengths of friends and userLikes,
+	// kept where entries are appended and removed so Stats is O(1).
+	nFriends, nLikes int
 
 	cc   []commentComponents
 	prev Result
@@ -126,6 +129,7 @@ func (s *Q2IncrementalCC) onLike(ci, ui int) {
 		}
 	}
 	s.userLikes[ui] = append(s.userLikes[ui], ci)
+	s.nLikes++
 }
 
 // onFriendship ingests an undirected friends edge.
@@ -150,6 +154,7 @@ func (s *Q2IncrementalCC) onFriendship(a, b int) {
 	}
 	s.friends[a] = append(s.friends[a], b)
 	s.friends[b] = append(s.friends[b], a)
+	s.nFriends += 2
 }
 
 // onUnlike ingests a like removal: drop the user from the comment's
@@ -162,30 +167,35 @@ func (s *Q2IncrementalCC) onUnlike(ci, ui int) {
 		return
 	}
 	delete(cc.node, ui)
-	likes := s.userLikes[ui]
-	for k, c := range likes {
-		if c == ci {
-			s.userLikes[ui] = append(likes[:k], likes[k+1:]...)
-			break
-		}
+	var removed bool
+	if s.userLikes[ui], removed = removeFrom(s.userLikes[ui], ci); removed {
+		s.nLikes--
 	}
 	s.rebuildComment(ci)
+}
+
+// removeFrom deletes the first occurrence of x from list, reporting whether
+// there was one.
+func removeFrom(list []int, x int) ([]int, bool) {
+	for k, v := range list {
+		if v == x {
+			return append(list[:k], list[k+1:]...), true
+		}
+	}
+	return list, false
 }
 
 // onUnfriend ingests a friendship removal: drop the adjacency and rebuild
 // every comment both users still like (the only comments whose components
 // the edge could have been holding together).
 func (s *Q2IncrementalCC) onUnfriend(a, b int) []int {
-	removeFrom := func(list []int, x int) []int {
-		for k, v := range list {
-			if v == x {
-				return append(list[:k], list[k+1:]...)
-			}
-		}
-		return list
+	var removed bool
+	if s.friends[a], removed = removeFrom(s.friends[a], b); removed {
+		s.nFriends--
 	}
-	s.friends[a] = removeFrom(s.friends[a], b)
-	s.friends[b] = removeFrom(s.friends[b], a)
+	if s.friends[b], removed = removeFrom(s.friends[b], a); removed {
+		s.nFriends--
+	}
 	inA := make(map[int]struct{}, len(s.userLikes[a]))
 	for _, ci := range s.userLikes[a] {
 		inA[ci] = struct{}{}
@@ -275,6 +285,8 @@ func (s *Q2IncrementalCC) Retract(r *model.Retraction) (Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: retraction references unknown user %d", id)
 		}
+		s.nFriends -= len(s.friends[ui])
+		s.nLikes -= len(s.userLikes[ui])
 		s.friends[ui] = nil
 		s.userLikes[ui] = nil
 		s.retiredUsers[ui] = struct{}{}

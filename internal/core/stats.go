@@ -52,7 +52,9 @@ type StatsReporter interface {
 	Stats() EngineStats
 }
 
-// engineStats sizes the matrix state shared by the GraphBLAS engines.
+// engineStats sizes the matrix state shared by the GraphBLAS engines in
+// O(1): NVals counts pending tuples without assembling them, so reading the
+// stats after every commit leaves the engine state untouched.
 // Retired entities (retracted to another partition; see graph.retract) are
 // excluded, so a donor repaired incrementally reports the same live counts
 // a reloaded donor would.
@@ -60,15 +62,16 @@ func (g *graph) engineStats() EngineStats {
 	if g == nil {
 		return EngineStats{}
 	}
-	return EngineStats{
+	st := EngineStats{
 		Posts:    g.posts.Len(),
 		Comments: g.comments.Len() - len(g.retiredComments),
 		Users:    g.users.Len() - len(g.retiredUsers),
-		NNZ: g.rootPost.NVals() + g.rootPostT.NVals() +
-			g.likes.NVals() + g.likesT.NVals() + g.friends.NVals(),
-		Pending: g.rootPost.NPending() + g.rootPostT.NPending() +
-			g.likes.NPending() + g.likesT.NPending() + g.friends.NPending(),
 	}
+	for _, m := range g.matrices() {
+		st.NNZ += m.NVals()
+		st.Pending += m.NPending()
+	}
+	return st
 }
 
 // Stats implements StatsReporter.
@@ -85,8 +88,9 @@ func (s *Q2Incremental) Stats() EngineStats { return s.g.engineStats() }
 
 // Stats implements StatsReporter. The CC engine maintains adjacency lists
 // and per-comment DSU forests instead of matrices; NNZ counts the directed
-// friend edges and the user→comment like edges it stores. Retired entities
-// are excluded, matching a reloaded donor's live counts.
+// friend edges and the user→comment like edges it stores, from counters the
+// event handlers maintain, so Stats is O(1). Retired entities are excluded,
+// matching a reloaded donor's live counts.
 func (s *Q2IncrementalCC) Stats() EngineStats {
 	st := EngineStats{}
 	if s.posts != nil {
@@ -98,11 +102,6 @@ func (s *Q2IncrementalCC) Stats() EngineStats {
 	if s.users != nil {
 		st.Users = s.users.Len() - len(s.retiredUsers)
 	}
-	for _, fs := range s.friends {
-		st.NNZ += len(fs)
-	}
-	for _, ls := range s.userLikes {
-		st.NNZ += len(ls)
-	}
+	st.NNZ = s.nFriends + s.nLikes
 	return st
 }

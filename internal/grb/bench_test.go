@@ -8,7 +8,7 @@ import (
 
 // Kernel micro-benchmarks: not tied to a table or figure, but they pin the
 // cost model the design notes in README.md rely on (O(nnz) whole-matrix kernels,
-// O(touched rows) VxM, O(1) pending SetElement, O(nnz + p log p) Wait).
+// O(touched rows) VxM, row-local pending SetElement, O(nnz + p log p) Wait).
 
 func benchMatrix(n, nnz int, seed int64) *Matrix[int] {
 	rng := rand.New(rand.NewSource(seed))

@@ -4,10 +4,12 @@ import "sort"
 
 // Matrix is a sparse matrix in CSR (compressed sparse row) form with a
 // SuiteSparse-style pending-tuple buffer (GrB_Matrix). SetElement appends to
-// the pending buffer in O(1); whole-matrix kernels assemble pending tuples
-// into the CSR arrays first (Wait), while row-sparse kernels (VxM, row
-// extraction) merge pending entries of only the touched rows on the fly, so
-// small incremental updates never pay a full O(nnz) rebuild.
+// the pending buffer after an existence check of the one row it touches;
+// whole-matrix kernels assemble pending tuples into the CSR arrays first
+// (Wait), while row-sparse kernels (VxM, row extraction) merge pending
+// entries of only the touched rows on the fly, so small incremental updates
+// never pay a full O(nnz) rebuild. The stored-element count is kept current
+// as tuples are buffered, so NVals never assembles either.
 type Matrix[T any] struct {
 	nrows, ncols int
 	rowPtr       []int
@@ -16,6 +18,9 @@ type Matrix[T any] struct {
 
 	pending map[Index][]matEntry[T] // row → appended entries, insertion order
 	npend   int
+	// ndelta is the net number of stored elements the pending tuples add
+	// (positive) or remove (negative) relative to the CSR arrays.
+	ndelta int
 }
 
 type matEntry[T any] struct {
@@ -92,28 +97,27 @@ func (a *Matrix[T]) NRows() int { return a.nrows }
 // NCols reports the number of columns.
 func (a *Matrix[T]) NCols() int { return a.ncols }
 
-// NVals reports the number of stored elements. It assembles pending tuples
-// first (like GrB_Matrix_nvals, which implies a wait).
-func (a *Matrix[T]) NVals() int {
-	a.Wait()
-	return len(a.colInd)
-}
+// NVals reports the number of stored elements, pending tuples included. It
+// costs O(1) and, unlike GrB_Matrix_nvals, does not imply a wait: the
+// pending tuples stay pending.
+func (a *Matrix[T]) NVals() int { return len(a.colInd) + a.ndelta }
 
-// NPending reports the number of unassembled pending tuples (diagnostic).
+// NPending reports the number of unassembled pending tuples.
 func (a *Matrix[T]) NPending() int { return a.npend }
 
 // SetElement stores x at (i, j), overwriting any existing element. The
-// update is buffered as a pending tuple; it costs O(1) and is observed by
-// all subsequent operations.
+// update is buffered as a pending tuple and observed by all subsequent
+// operations; its cost is the existence check of GetElement (a binary
+// search of row i plus a scan of that row's pending tuples), which keeps
+// NVals current.
 func (a *Matrix[T]) SetElement(i, j Index, x T) error {
 	if i < 0 || i >= a.nrows || j < 0 || j >= a.ncols {
 		return boundsErrf("SetElement: (%d,%d) outside %d×%d", i, j, a.nrows, a.ncols)
 	}
-	if a.pending == nil {
-		a.pending = make(map[Index][]matEntry[T])
+	if _, ok := a.get(i, j); !ok {
+		a.ndelta++
 	}
-	a.pending[i] = append(a.pending[i], matEntry[T]{col: j, val: x})
-	a.npend++
+	a.push(i, matEntry[T]{col: j, val: x})
 	return nil
 }
 
@@ -125,12 +129,20 @@ func (a *Matrix[T]) RemoveElement(i, j Index) error {
 	if i < 0 || i >= a.nrows || j < 0 || j >= a.ncols {
 		return boundsErrf("RemoveElement: (%d,%d) outside %d×%d", i, j, a.nrows, a.ncols)
 	}
+	if _, ok := a.get(i, j); ok {
+		a.ndelta--
+	}
+	a.push(i, matEntry[T]{col: j, del: true})
+	return nil
+}
+
+// push buffers one pending tuple of row i.
+func (a *Matrix[T]) push(i Index, e matEntry[T]) {
 	if a.pending == nil {
 		a.pending = make(map[Index][]matEntry[T])
 	}
-	a.pending[i] = append(a.pending[i], matEntry[T]{col: j, del: true})
+	a.pending[i] = append(a.pending[i], e)
 	a.npend++
-	return nil
 }
 
 // GetElement returns the value stored at (i, j) and whether one exists.
@@ -139,45 +151,67 @@ func (a *Matrix[T]) GetElement(i, j Index) (T, bool, error) {
 	if i < 0 || i >= a.nrows || j < 0 || j >= a.ncols {
 		return zero, false, boundsErrf("GetElement: (%d,%d) outside %d×%d", i, j, a.nrows, a.ncols)
 	}
+	x, ok := a.get(i, j)
+	return x, ok, nil
+}
+
+// get is GetElement without the bounds check.
+func (a *Matrix[T]) get(i, j Index) (T, bool) {
+	var zero T
 	// Pending entries are newer than CSR entries; the last one wins.
 	if ents, ok := a.pending[i]; ok {
 		for k := len(ents) - 1; k >= 0; k-- {
 			if ents[k].col == j {
 				if ents[k].del {
-					return zero, false, nil
+					return zero, false
 				}
-				return ents[k].val, true, nil
+				return ents[k].val, true
 			}
 		}
 	}
 	lo, hi := a.rowPtr[i], a.rowPtr[i+1]
 	p := lo + sort.SearchInts(a.colInd[lo:hi], j)
 	if p < hi && a.colInd[p] == j {
-		return a.val[p], true, nil
+		return a.val[p], true
 	}
-	return zero, false, nil
+	return zero, false
 }
 
 // Wait assembles all pending tuples into the CSR arrays (GrB_wait). It is a
 // no-op when nothing is pending. Cost: O(nnz + p log p) for p pending
-// tuples, a single merge pass.
+// tuples, a single merge pass: the touched rows are visited in sorted
+// order, and each run of untouched rows between them moves with one copy
+// and a rowPtr shift.
 func (a *Matrix[T]) Wait() {
 	if a.npend == 0 {
 		return
 	}
-	newCol := make([]Index, 0, len(a.colInd)+a.npend)
-	newVal := make([]T, 0, len(a.val)+a.npend)
+	touched := make([]Index, 0, len(a.pending))
+	for i := range a.pending {
+		touched = append(touched, i)
+	}
+	sort.Ints(touched)
+	nnz := a.NVals()
+	newCol := make([]Index, 0, nnz)
+	newVal := make([]T, 0, nnz)
 	newPtr := make([]int, a.nrows+1)
-	var scratch []matEntry[T]
-	for i := 0; i < a.nrows; i++ {
-		newPtr[i] = len(newCol)
-		ents, ok := a.pending[i]
-		if !ok {
-			newCol = append(newCol, a.colInd[a.rowPtr[i]:a.rowPtr[i+1]]...)
-			newVal = append(newVal, a.val[a.rowPtr[i]:a.rowPtr[i+1]]...)
-			continue
+	// copyRun moves rows [from, to) unchanged, shifting their offsets.
+	copyRun := func(from, to int) {
+		lo, hi := a.rowPtr[from], a.rowPtr[to]
+		shift := len(newCol) - lo
+		for r := from; r < to; r++ {
+			newPtr[r] = a.rowPtr[r] + shift
 		}
-		scratch = mergePendingRow(ents, scratch[:0])
+		newCol = append(newCol, a.colInd[lo:hi]...)
+		newVal = append(newVal, a.val[lo:hi]...)
+	}
+	var scratch []matEntry[T]
+	next := 0 // first row not yet emitted
+	for _, i := range touched {
+		copyRun(next, i)
+		next = i + 1
+		newPtr[i] = len(newCol)
+		scratch = mergePendingRow(a.pending[i], scratch[:0])
 		lo, hi := a.rowPtr[i], a.rowPtr[i+1]
 		p, q := lo, 0
 		for p < hi && q < len(scratch) {
@@ -201,10 +235,8 @@ func (a *Matrix[T]) Wait() {
 				q++
 			}
 		}
-		for ; p < hi; p++ {
-			newCol = append(newCol, a.colInd[p])
-			newVal = append(newVal, a.val[p])
-		}
+		newCol = append(newCol, a.colInd[p:hi]...)
+		newVal = append(newVal, a.val[p:hi]...)
 		for ; q < len(scratch); q++ {
 			if !scratch[q].del {
 				newCol = append(newCol, scratch[q].col)
@@ -212,10 +244,12 @@ func (a *Matrix[T]) Wait() {
 			}
 		}
 	}
+	copyRun(next, a.nrows)
 	newPtr[a.nrows] = len(newCol)
 	a.rowPtr, a.colInd, a.val = newPtr, newCol, newVal
 	a.pending = nil
 	a.npend = 0
+	a.ndelta = 0
 }
 
 // mergePendingRow sorts a row's pending entries by column, keeping only the
@@ -392,6 +426,7 @@ func (a *Matrix[T]) Clear() {
 	a.val = nil
 	a.pending = nil
 	a.npend = 0
+	a.ndelta = 0
 }
 
 // Clone returns a deep copy (pending tuples are assembled first).

@@ -2,8 +2,10 @@ package shard
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/model"
 )
 
@@ -130,4 +132,42 @@ func BenchmarkDonorReload(b *testing.B) {
 			rt.Close()
 		}
 	})
+}
+
+// BenchmarkCommitSteady times steady-state single-like commits on 2 shards
+// at two graph sizes. Each commit likes a fresh (user, comment) pair, so
+// every one routes, updates the engines of one or two shards and observes
+// every engine's answer and stats. Per-commit work follows the change, so
+// ns/op should stay roughly flat from sf 4 to sf 16.
+func BenchmarkCommitSteady(b *testing.B) {
+	for _, sf := range []int{4, 16} {
+		b.Run(fmt.Sprintf("sf%d", sf), func(b *testing.B) {
+			snap := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: 1, ChangeSets: 1}).Snapshot
+			liked := make(map[model.Like]struct{}, len(snap.Likes))
+			for _, l := range snap.Likes {
+				liked[l] = struct{}{}
+			}
+			rt, err := New(2, snap)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer rt.Close()
+			users, comments := snap.Users, snap.Comments
+			rng := rand.New(rand.NewSource(2))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var l model.Like
+				for {
+					l = model.Like{UserID: users[rng.Intn(len(users))].ID, CommentID: comments[rng.Intn(len(comments))].ID}
+					if _, dup := liked[l]; !dup {
+						break
+					}
+				}
+				liked[l] = struct{}{}
+				if _, err := rt.Commit(&model.ChangeSet{Changes: []model.Change{{Kind: model.KindAddLike, Like: l}}}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 
@@ -126,10 +127,10 @@ type router struct {
 	// they score exactly 0, are ranked by parkedTopK as a virtual
 	// partition, and materialize onto their first liker's shard.
 	parked map[model.ID]model.Comment
-	// parkedTop caches parkedTopK's answer (nil = stale). Parking merges
-	// the new entry into the cache; only unparking a cached comment forces
-	// a rescan, so commits don't pay O(parked) ranking work.
-	parkedTop core.Result
+	// parkedRank orders the parked comments best first, so commits rank
+	// them in O(log parked). Unparked entries are dropped lazily, when
+	// they surface at the top or when they outnumber the live ones.
+	parkedRank parkedHeap
 
 	// Union-find over users ∪ comments with per-root group state.
 	node         map[nodeKey]int
@@ -612,40 +613,62 @@ func (r *router) q1Snapshot(snap *model.Snapshot, s int) *model.Snapshot {
 	return out
 }
 
-// park adds a likeless comment to the router-side parking, keeping the
-// cached ranking current (a grown set can only admit the new entry, so a
-// two-way merge suffices).
+// park adds a likeless comment to the router-side parking. A comment
+// parks once, when it is added.
 func (r *router) park(c model.Comment) {
 	r.parked[c.ID] = c
-	if r.parkedTop != nil {
-		r.parkedTop = core.MergeTopK(core.TopK, r.parkedTop,
-			core.Result{{ID: c.ID, Score: 0, Timestamp: c.Timestamp}})
-	}
+	heap.Push(&r.parkedRank, core.Entry{ID: c.ID, Score: 0, Timestamp: c.Timestamp})
 }
 
-// unpark removes a comment at its first like, invalidating the cached
-// ranking only when that comment was part of it.
+// unpark removes a comment at its first like. Its parkedRank entry stays
+// until it surfaces; once dead entries outnumber live ones the heap is
+// rebuilt from the live set, which bounds it to about twice the parked
+// count at O(1) amortized cost per unpark.
 func (r *router) unpark(id model.ID) {
 	delete(r.parked, id)
-	for _, e := range r.parkedTop {
-		if e.ID == id {
-			r.parkedTop = nil
-			break
+	if len(r.parkedRank) > 2*len(r.parked)+core.TopK {
+		live := r.parkedRank[:0]
+		for _, e := range r.parkedRank {
+			if _, ok := r.parked[e.ID]; ok {
+				live = append(live, e)
+			}
 		}
+		r.parkedRank = live
+		heap.Init(&r.parkedRank)
 	}
 }
 
 // parkedTopK ranks the parked (likeless, hence zero-scoring) comments as
-// one more partition for the global Q2 merge.
+// one more partition for the global Q2 merge: it pops parkedRank down to
+// its best live entries, discarding unparked ones on the way, and pushes
+// the live ones back.
 func (r *router) parkedTopK() core.Result {
-	if r.parkedTop == nil {
-		t := core.NewTopK(core.TopK)
-		for _, c := range r.parked {
-			t.Consider(core.Entry{ID: c.ID, Score: 0, Timestamp: c.Timestamp})
+	top := make(core.Result, 0, core.TopK)
+	for len(top) < core.TopK && len(r.parkedRank) > 0 {
+		e := heap.Pop(&r.parkedRank).(core.Entry)
+		if _, ok := r.parked[e.ID]; ok {
+			top = append(top, e)
 		}
-		r.parkedTop = t.Result()
 	}
-	return r.parkedTop
+	for _, e := range top {
+		heap.Push(&r.parkedRank, e)
+	}
+	return top
+}
+
+// parkedHeap is a container/heap of entries with the best entry (by
+// core.Less) at the root.
+type parkedHeap []core.Entry
+
+func (h parkedHeap) Len() int           { return len(h) }
+func (h parkedHeap) Less(i, j int) bool { return core.Less(h[i], h[j]) }
+func (h parkedHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *parkedHeap) Push(x any)        { *h = append(*h, x.(core.Entry)) }
+func (h *parkedHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
 }
 
 // q2Snapshot renders shard s's current Q2 partition as a loadable

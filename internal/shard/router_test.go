@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/model"
 )
 
@@ -100,4 +102,62 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 	if got := r.parkedTopK().String(); got != "11" {
 		t.Fatalf("parked ranking after unpark = %q, want %q", got, "11")
 	}
+}
+
+// TestParkedTopKMatchesBruteForce checks the heap-backed parked ranking
+// against a full sort of the parked set over random park/unpark sequences.
+// Timestamps are drawn from a small range, so ties on timestamp (decided
+// by id) are common, and unparks hit the top entry, entries deep in the
+// heap and everything in between; the heap must also stay bounded by the
+// live set.
+func TestParkedTopKMatchesBruteForce(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r, err := newRouter(2, &model.Snapshot{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var live []model.ID
+		next := model.ID(1)
+		for step := 0; step < 2000; step++ {
+			switch op := rng.Intn(9); {
+			case op < 5 || len(live) == 0:
+				c := model.Comment{ID: next, Timestamp: int64(rng.Intn(20)), PostID: 1}
+				next++
+				r.park(c)
+				live = append(live, c.ID)
+			default:
+				// Unpark the best-ranked comment half of the time.
+				k := rng.Intn(len(live))
+				if rng.Intn(2) == 0 {
+					k = indexOf(live, r.parkedTopK()[0].ID)
+				}
+				r.unpark(live[k])
+				live = append(live[:k], live[k+1:]...)
+			}
+			if rng.Intn(3) == 0 {
+				continue // let several changes pile up between queries
+			}
+			want := core.NewTopK(core.TopK)
+			for _, id := range live {
+				want.Consider(core.Entry{ID: id, Timestamp: r.parked[id].Timestamp})
+			}
+			if got, w := r.parkedTopK().String(), want.Result().String(); got != w {
+				t.Fatalf("seed %d step %d: parkedTopK = %q, brute force %q", seed, step, got, w)
+			}
+			if len(r.parkedRank) > 2*len(r.parked)+core.TopK+1 {
+				t.Fatalf("seed %d step %d: heap holds %d entries for %d parked",
+					seed, step, len(r.parkedRank), len(r.parked))
+			}
+		}
+	}
+}
+
+func indexOf(ids []model.ID, id model.ID) int {
+	for k, x := range ids {
+		if x == id {
+			return k
+		}
+	}
+	return -1
 }
