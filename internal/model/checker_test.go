@@ -2,6 +2,8 @@ package model
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -112,14 +114,16 @@ func TestCheckerRemoveMissingFriendship(t *testing.T) {
 }
 
 // TestCheckerRollbackIsComplete applies a request whose last change is
-// invalid and checks that every earlier change was rolled back: the valid
-// prefix must then apply cleanly (no leftover entity or edge), which also
+// invalid and checks that every earlier change was rolled back: the state
+// must hold the same content as before the request, and the valid prefix
+// must then apply cleanly (no leftover entity or edge), which also
 // requires the removed edges to be restored.
 func TestCheckerRollbackIsComplete(t *testing.T) {
 	c, err := NewChecker(checkerFixture())
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := c.State().Clone()
 	req := []Change{
 		{Kind: KindAddUser, User: User{ID: 200}},
 		{Kind: KindAddPost, Post: Post{ID: 5}},
@@ -133,7 +137,83 @@ func TestCheckerRollbackIsComplete(t *testing.T) {
 	if err := c.ApplyAll(req); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("request with duplicate post: %v, want integrity violation", err)
 	}
+	if err := sameState(c.State(), before); err != nil {
+		t.Fatalf("state after rejected request: %v", err)
+	}
+	if err := c.checkIndex(); err != nil {
+		t.Fatalf("after rejected request: %v", err)
+	}
 	if err := c.ApplyAll(req[:7]); err != nil {
 		t.Fatalf("valid prefix rejected after rollback: %v", err)
 	}
+}
+
+// TestCheckerStateIsCanonicalCopy checks that the checker's state is a
+// copy (NewChecker and ApplyAll leave their inputs alone) whose
+// friendships are stored canonically, however they were spelled.
+func TestCheckerStateIsCanonicalCopy(t *testing.T) {
+	s := checkerFixture()
+	s.Friendships[0] = Friendship{User1: 101, User2: 100}
+	c, err := NewChecker(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := []Change{{Kind: KindAddFriendship, Friendship: Friendship{User1: 102, User2: 100}}}
+	if err := c.ApplyAll(req); err != nil {
+		t.Fatal(err)
+	}
+	if s.Friendships[0] != (Friendship{User1: 101, User2: 100}) || req[0].Friendship != (Friendship{User1: 102, User2: 100}) {
+		t.Fatal("checker rewrote its input")
+	}
+	want := []Friendship{{User1: 100, User2: 101}, {User1: 100, User2: 102}}
+	if got := c.State().Friendships; !slices.Equal(got, want) {
+		t.Fatalf("state friendships %v, want %v", got, want)
+	}
+	if err := c.checkIndex(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameState compares two snapshots: node slices exactly, edges as
+// canonical sets (order and orientation independent).
+func sameState(got, want *Snapshot) error {
+	switch {
+	case !slices.Equal(got.Posts, want.Posts):
+		return fmt.Errorf("posts differ (%d vs %d)", len(got.Posts), len(want.Posts))
+	case !slices.Equal(got.Comments, want.Comments):
+		return fmt.Errorf("comments differ (%d vs %d)", len(got.Comments), len(want.Comments))
+	case !slices.Equal(got.Users, want.Users):
+		return fmt.Errorf("users differ (%d vs %d)", len(got.Users), len(want.Users))
+	case !sameEdgeSets(got, want):
+		return fmt.Errorf("edge sets differ (%d/%d friendships, %d/%d likes)",
+			len(got.Friendships), len(want.Friendships), len(got.Likes), len(want.Likes))
+	}
+	return nil
+}
+
+// checkIndex reports the first disagreement between the checker's maps and
+// its state: every entity map matches its slice's length, and every edge
+// map entry points at a slice element with its key.
+func (c *Checker) checkIndex() error {
+	st := c.state
+	if len(c.posts) != len(st.Posts) || len(c.comments) != len(st.Comments) || len(c.users) != len(st.Users) {
+		return fmt.Errorf("node maps %d/%d/%d, slices %d/%d/%d", len(c.posts), len(c.comments), len(c.users),
+			len(st.Posts), len(st.Comments), len(st.Users))
+	}
+	if err := checkEdgeIndex("friendship", c.friends, st.Friendships, friendKey); err != nil {
+		return err
+	}
+	return checkEdgeIndex("like", c.likes, st.Likes, likeKey)
+}
+
+func checkEdgeIndex[E any](family string, pos map[[2]ID]int32, edges []E, key func(E) [2]ID) error {
+	if len(pos) != len(edges) {
+		return fmt.Errorf("%s map has %d entries, slice %d", family, len(pos), len(edges))
+	}
+	for k, i := range pos {
+		if int(i) >= len(edges) || key(edges[i]) != k {
+			return fmt.Errorf("%s %v maps to position %d, which does not hold it", family, k, i)
+		}
+	}
+	return nil
 }

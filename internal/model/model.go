@@ -190,15 +190,17 @@ func (d *Dataset) TotalInserts() int {
 }
 
 // Apply applies a change set to the snapshot in place: insertions append,
-// removals delete their edge. It is the reference semantics of an update
-// step; engines maintain their own incremental state but tests validate
-// against an applied snapshot, and the WAL writer replays every committed
-// batch through it.
+// removals delete their edge, and slice order is otherwise kept. It is the
+// reference semantics of an update step: engines and the integrity
+// checker's State maintain their own incremental state, and tests and
+// oracles validate them against an applied snapshot. The serving write
+// path does not call it.
 //
 // Removals resolve through a keyed index over the edge slices (built only
 // when the set contains removals), so Apply is linear in snapshot+changes
-// even on removal-heavy replays — the naive per-removal slice scan is
-// quadratic exactly on the histories the WAL replays longest.
+// even on removal-heavy replays, where a per-removal slice scan would be
+// quadratic. A set with a removal still costs O(snapshot); Checker.ApplyAll
+// is the O(|changes|) form.
 func (s *Snapshot) Apply(cs *ChangeSet) {
 	if !cs.HasRemovals() {
 		for _, ch := range cs.Changes {

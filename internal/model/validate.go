@@ -17,28 +17,41 @@ var ErrIntegrity = errors.New("model: integrity violation")
 // edges. A serving layer checks every update request against it before any
 // engine sees the request, and Validate runs a whole dataset through it.
 //
-// Edge maps are keyed by the (A, B) of the edge's canonical ChangeKey, so
-// the two orientations of a friendship are one key.
+// The checker also materializes the model it admits (State): every
+// accepted change is applied to a snapshot it owns in the same pass that
+// validates it. Edge maps are keyed by the (A, B) of the edge's canonical
+// ChangeKey, so the two orientations of a friendship are one key, and map
+// each edge to its position in the state's edge slice. A removal therefore
+// costs O(1): the last edge moves into the freed slot.
 type Checker struct {
 	posts map[ID]struct{}
 	// comments maps each comment to its root post, which is all a reply's
 	// root-consistency check needs.
 	comments map[ID]ID
 	users    map[ID]struct{}
-	friends  map[[2]ID]struct{}
-	likes    map[[2]ID]struct{}
+	friends  map[[2]ID]int32
+	likes    map[[2]ID]int32
+	state    *Snapshot
 }
 
 // NewChecker loads a snapshot into a new Checker, validating it on the
 // way: posts, users, comments (parents before replies), friendships, then
-// likes, each under the same rules ApplyAll enforces.
+// likes, each under the same rules ApplyAll enforces. The checker's state
+// starts as a copy of s; s itself is not modified.
 func NewChecker(s *Snapshot) (*Checker, error) {
 	c := &Checker{
 		posts:    make(map[ID]struct{}, len(s.Posts)),
 		comments: make(map[ID]ID, len(s.Comments)),
 		users:    make(map[ID]struct{}, len(s.Users)),
-		friends:  make(map[[2]ID]struct{}, len(s.Friendships)),
-		likes:    make(map[[2]ID]struct{}, len(s.Likes)),
+		friends:  make(map[[2]ID]int32, len(s.Friendships)),
+		likes:    make(map[[2]ID]int32, len(s.Likes)),
+		state: &Snapshot{
+			Posts:       make([]Post, 0, len(s.Posts)),
+			Comments:    make([]Comment, 0, len(s.Comments)),
+			Users:       make([]User, 0, len(s.Users)),
+			Friendships: make([]Friendship, 0, len(s.Friendships)),
+			Likes:       make([]Like, 0, len(s.Likes)),
+		},
 	}
 	load := func(ch *Change) error {
 		if err := c.apply(ch); err != nil {
@@ -95,10 +108,11 @@ func Validate(d *Dataset) error {
 	return nil
 }
 
-// ApplyAll validates changes in order and applies them to the checker. It
-// is all-or-nothing: on the first invalid change every earlier change of
-// the call is rolled back and the error returned, so a rejected request
-// leaves no trace.
+// ApplyAll validates changes in order and applies them to the checker and
+// its state. It is all-or-nothing: on the first invalid change every
+// earlier change of the call is rolled back and the error returned, so a
+// rejected request leaves no trace in the maps or in the state's content
+// (its edge order may differ). changes itself is never modified.
 func (c *Checker) ApplyAll(changes []Change) error {
 	for i := range changes {
 		if err := c.apply(&changes[i]); err != nil {
@@ -111,10 +125,44 @@ func (c *Checker) ApplyAll(changes []Change) error {
 	return nil
 }
 
+// State returns the model the checker has admitted: the snapshot it was
+// built from plus every accepted change, the result Snapshot.Apply gives
+// for the same changes up to edge order and friendship orientation. The
+// checker owns it and updates it in place on every ApplyAll. Friendships
+// are stored canonically (User1 < User2); edge order is unspecified, since
+// a removal moves the last edge into the freed slot. A caller may replace
+// an edge slice with an equal copy (positions stay valid) but must not
+// otherwise modify the state.
+func (c *Checker) State() *Snapshot { return c.state }
+
 // edge is the edge-map key of a friendship or like change.
 func edge(ch *Change) [2]ID {
 	k := ch.Key()
 	return [2]ID{k.A, k.B}
+}
+
+// friendKey and likeKey are the edge-map keys of stored edges (stored
+// friendships are canonical, so no reordering is needed).
+func friendKey(f Friendship) [2]ID { return [2]ID{f.User1, f.User2} }
+func likeKey(l Like) [2]ID         { return [2]ID{l.UserID, l.CommentID} }
+
+// appendEdge adds edge e under key k at the end of *edges.
+func appendEdge[E any](pos map[[2]ID]int32, edges *[]E, k [2]ID, e E) {
+	pos[k] = int32(len(*edges))
+	*edges = append(*edges, e)
+}
+
+// removeEdge deletes the edge under key k from *edges by moving the last
+// edge into its slot.
+func removeEdge[E any](pos map[[2]ID]int32, edges *[]E, k [2]ID, key func(E) [2]ID) {
+	i, last := pos[k], len(*edges)-1
+	if int(i) != last {
+		moved := (*edges)[last]
+		(*edges)[i] = moved
+		pos[key(moved)] = i
+	}
+	*edges = (*edges)[:last]
+	delete(pos, k)
 }
 
 func (c *Checker) apply(ch *Change) error {
@@ -124,6 +172,7 @@ func (c *Checker) apply(ch *Change) error {
 			return fmt.Errorf("%w: post %d already exists", ErrIntegrity, ch.Post.ID)
 		}
 		c.posts[ch.Post.ID] = struct{}{}
+		c.state.Posts = append(c.state.Posts, ch.Post)
 	case KindAddComment:
 		cm := ch.Comment
 		if _, dup := c.comments[cm.ID]; dup {
@@ -139,11 +188,13 @@ func (c *Checker) apply(ch *Change) error {
 			}
 		}
 		c.comments[cm.ID] = cm.PostID
+		c.state.Comments = append(c.state.Comments, cm)
 	case KindAddUser:
 		if _, dup := c.users[ch.User.ID]; dup {
 			return fmt.Errorf("%w: user %d already exists", ErrIntegrity, ch.User.ID)
 		}
 		c.users[ch.User.ID] = struct{}{}
+		c.state.Users = append(c.state.Users, ch.User)
 	case KindAddFriendship:
 		f := ch.Friendship
 		if f.User1 == f.User2 {
@@ -159,7 +210,7 @@ func (c *Checker) apply(ch *Change) error {
 		if _, dup := c.friends[k]; dup {
 			return fmt.Errorf("%w: friendship %d–%d already exists", ErrIntegrity, f.User1, f.User2)
 		}
-		c.friends[k] = struct{}{}
+		appendEdge(c.friends, &c.state.Friendships, k, Friendship{User1: k[0], User2: k[1]})
 	case KindAddLike:
 		l := ch.Like
 		if err := c.checkUser(l.UserID); err != nil {
@@ -172,42 +223,50 @@ func (c *Checker) apply(ch *Change) error {
 		if _, dup := c.likes[k]; dup {
 			return fmt.Errorf("%w: user %d already likes comment %d", ErrIntegrity, l.UserID, l.CommentID)
 		}
-		c.likes[k] = struct{}{}
+		appendEdge(c.likes, &c.state.Likes, k, l)
 	case KindRemoveFriendship:
 		k := edge(ch)
 		if _, ok := c.friends[k]; !ok {
 			return fmt.Errorf("%w: friendship %d–%d does not exist", ErrIntegrity, ch.Friendship.User1, ch.Friendship.User2)
 		}
-		delete(c.friends, k)
+		removeEdge(c.friends, &c.state.Friendships, k, friendKey)
 	case KindRemoveLike:
 		k := edge(ch)
 		if _, ok := c.likes[k]; !ok {
 			return fmt.Errorf("%w: user %d does not like comment %d", ErrIntegrity, ch.Like.UserID, ch.Like.CommentID)
 		}
-		delete(c.likes, k)
+		removeEdge(c.likes, &c.state.Likes, k, likeKey)
 	default:
 		return fmt.Errorf("%w: unknown change kind %d", ErrIntegrity, ch.Kind)
 	}
 	return nil
 }
 
-// rollback undoes a previously successful apply of ch.
+// rollback undoes a previously successful apply of ch. ApplyAll rolls back
+// in reverse order, so an added node is always the last of its slice; an
+// added edge may have moved (a later removal's rollback appends the
+// removed edge at the end), so it is removed by key.
 func (c *Checker) rollback(ch *Change) {
+	st := c.state
 	switch ch.Kind {
 	case KindAddPost:
 		delete(c.posts, ch.Post.ID)
+		st.Posts = st.Posts[:len(st.Posts)-1]
 	case KindAddComment:
 		delete(c.comments, ch.Comment.ID)
+		st.Comments = st.Comments[:len(st.Comments)-1]
 	case KindAddUser:
 		delete(c.users, ch.User.ID)
+		st.Users = st.Users[:len(st.Users)-1]
 	case KindAddFriendship:
-		delete(c.friends, edge(ch))
+		removeEdge(c.friends, &st.Friendships, edge(ch), friendKey)
 	case KindAddLike:
-		delete(c.likes, edge(ch))
+		removeEdge(c.likes, &st.Likes, edge(ch), likeKey)
 	case KindRemoveFriendship:
-		c.friends[edge(ch)] = struct{}{}
+		k := edge(ch)
+		appendEdge(c.friends, &st.Friendships, k, Friendship{User1: k[0], User2: k[1]})
 	case KindRemoveLike:
-		c.likes[edge(ch)] = struct{}{}
+		appendEdge(c.likes, &st.Likes, edge(ch), ch.Like)
 	}
 }
 

@@ -84,7 +84,7 @@ func (s *Server) commit(check *model.Checker, batch []updateReq) {
 	accepted := make([]*updateReq, 0, len(batch))
 	for i := range batch {
 		req := &batch[i]
-		if err := check.ApplyAll(req.changes); err != nil {
+		if err := s.admit(check, req.changes); err != nil {
 			req.finish(fmt.Errorf("%w: %w", ErrRejected, err))
 			continue
 		}
@@ -164,7 +164,7 @@ func (s *Server) replayWAL(check *model.Checker, batches []wal.Batch) bool {
 		s.replayDone = i
 		s.mu.Unlock()
 		replayed += len(b.Changes)
-		if err := check.ApplyAll(b.Changes); err != nil {
+		if err := s.admit(check, b.Changes); err != nil {
 			s.setBroken(fmt.Errorf("wal replay: batch seq %d: %w", b.Seq, err))
 			return false
 		}
@@ -185,16 +185,13 @@ func (s *Server) replayWAL(check *model.Checker, batches []wal.Batch) bool {
 }
 
 // applyAndPublish is the one commit step of live commits and startup
-// replay alike. It folds the batch into the materialized model state (when
-// persistent), commits it through the sharded runtime — whose barrier
-// returns only once every shard has applied its slice — publishes the new
-// Snapshot at seq, and cross-checks the two Q2 engines' answers. The batch
-// must already have passed the integrity checker and, when persistent, be
-// in the WAL. An error means the shards may have diverged.
+// replay alike. It commits the batch through the sharded runtime — whose
+// barrier returns only once every shard has applied its slice — publishes
+// the new Snapshot at seq, and cross-checks the two Q2 engines' answers.
+// The batch must already have been admitted (admit), which also folded it
+// into curr, and, when persistent, be in the WAL. An error means the
+// shards may have diverged.
 func (s *Server) applyAndPublish(seq int, cs *model.ChangeSet) error {
-	if s.wal != nil {
-		s.applyDurable(cs)
-	}
 	start := time.Now()
 	results, err := s.rt.Commit(cs)
 	if err != nil {
@@ -224,34 +221,39 @@ func (s *Server) applyAndPublish(seq int, cs *model.ChangeSet) error {
 	return nil
 }
 
-// applyDurable folds a committed batch into the writer's materialized
-// model state. This is the copy-on-write moment of the streaming snapshot
-// design: while a background encode holds a view of curr's arrays, inserts
-// are harmless (they append at or past the view's clamped length, or
-// reallocate) but a removal batch would compact the edge arrays in place
-// under the encoder — so the first removal batch during an in-flight
-// encode detaches fresh Friendships/Likes arrays first. The pause is one
-// memcpy of the edge arrays, paid at most once per snapshot and only on
-// removal traffic, instead of a full encode+fsync stall on every snapshot.
-func (s *Server) applyDurable(cs *model.ChangeSet) {
-	if s.cowPending && cs.HasRemovals() && s.snapInProgress.Load() {
-		start := time.Now()
-		s.curr.Friendships = append([]model.Friendship(nil), s.curr.Friendships...)
-		s.curr.Likes = append([]model.Like(nil), s.curr.Likes...)
-		s.cowPending = false
-		s.noteSnapStall(time.Since(start))
-		s.mu.Lock()
-		s.cowClones++
-		s.mu.Unlock()
+// admit validates one request through the integrity checker, which on
+// success also folds it into curr (the checker's State). This is the
+// copy-on-write moment of the streaming snapshot design: while a
+// background encode holds a view of curr's arrays, inserts are harmless
+// (they append at or past the view's clamped length, or reallocate), but a
+// removal moves the last edge into the freed slot, which can lie below
+// that length, and a rejected request's rollback can move edges the same
+// way. So the first request carrying a removal during an in-flight encode
+// detaches fresh Friendships/Likes arrays before the checker sees it,
+// accepted or not. The pause is one memcpy of the edge arrays, paid at most once per
+// snapshot and only on removal traffic, instead of a full encode+fsync
+// stall on every snapshot.
+func (s *Server) admit(check *model.Checker, changes []model.Change) error {
+	if s.cowPending && s.snapInProgress.Load() {
+		if cs := (model.ChangeSet{Changes: changes}); cs.HasRemovals() {
+			start := time.Now()
+			s.curr.Friendships = append([]model.Friendship(nil), s.curr.Friendships...)
+			s.curr.Likes = append([]model.Like(nil), s.curr.Likes...)
+			s.cowPending = false
+			s.noteSnapStall(time.Since(start))
+			s.mu.Lock()
+			s.cowClones++
+			s.mu.Unlock()
+		}
 	}
-	s.curr.Apply(cs)
+	return check.ApplyAll(changes)
 }
 
 // snapshotView is the writer's O(1) snapshot handoff: the five slice
 // headers clamped to their current length (full slice expressions, so the
 // view also cannot see capacity beyond it). The encoder iterates the view;
-// the writer keeps committing into curr, with applyDurable detaching the
-// arrays a removal batch would mutate in place.
+// the writer keeps committing into curr, with admit detaching the arrays a
+// removal would mutate in place.
 func snapshotView(s *model.Snapshot) *model.Snapshot {
 	return &model.Snapshot{
 		Posts:       s.Posts[:len(s.Posts):len(s.Posts)],

@@ -656,3 +656,87 @@ func TestPersistentServerWritesQueuedDuringReplay(t *testing.T) {
 		t.Fatalf("Q1 after queued-during-replay commit: %q, oracle %q", snap.Results[EngineQ1], oracleQ1[pre+1])
 	}
 }
+
+// TestReversedFriendshipSurvivesRecovery adds a friendship spelled with
+// User1 > User2, snapshots, recovers and removes it again. The request is
+// admitted before the batch is normalized, so this pins down that the
+// durable snapshot still stores friendships canonically (User1 < User2,
+// the WAL's normalized form) and that the caller's request is not
+// rewritten.
+func TestReversedFriendshipSurvivesRecovery(t *testing.T) {
+	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 5})
+	friends := map[model.Friendship]bool{}
+	for _, f := range d.Snapshot.Friendships {
+		friends[f] = true
+		friends[model.Friendship{User1: f.User2, User2: f.User1}] = true
+	}
+	var pair model.Friendship // canonical: User1 < User2
+	for _, u := range d.Snapshot.Users[1:] {
+		if lo := d.Snapshot.Users[0].ID; !friends[model.Friendship{User1: lo, User2: u.ID}] && lo < u.ID {
+			pair = model.Friendship{User1: lo, User2: u.ID}
+			break
+		}
+	}
+	if pair.User1 == pair.User2 {
+		t.Fatal("no unbefriended user pair in the dataset")
+	}
+	reversed := model.Friendship{User1: pair.User2, User2: pair.User1}
+
+	cfg := Config{Dataset: d, PersistDir: t.TempDir(), Fsync: wal.SyncOff, FlushInterval: time.Millisecond}
+	// restart closes srv gracefully (final snapshot) and recovers a new
+	// server from the directory, checking that every stored friendship is
+	// canonical and counting the stored copies of pair.
+	restart := func(srv *Server) (*Server, int) {
+		t.Helper()
+		srv.Close()
+		next, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitReady(t, next)
+		if !next.Recovered() {
+			t.Fatal("restart did not recover from the durable snapshot")
+		}
+		stored := 0
+		for _, f := range next.Dataset().Snapshot.Friendships {
+			if f.User1 > f.User2 {
+				t.Fatalf("durable snapshot stores friendship %d–%d reversed", f.User1, f.User2)
+			}
+			if f == pair {
+				stored++
+			}
+		}
+		return next, stored
+	}
+
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := srv.Snapshot().Results
+	add := []model.Change{{Kind: model.KindAddFriendship, Friendship: reversed}}
+	if err := srv.Enqueue(add, true); err != nil {
+		t.Fatal(err)
+	}
+	if add[0].Friendship != reversed {
+		t.Fatalf("request rewritten to %+v", add[0].Friendship)
+	}
+	srv, stored := restart(srv)
+	if stored != 1 {
+		t.Fatalf("recovered snapshot holds %d copies of the added friendship, want 1", stored)
+	}
+	rm := []model.Change{{Kind: model.KindRemoveFriendship, Friendship: reversed}}
+	if err := srv.Enqueue(rm, true); err != nil {
+		t.Fatalf("removing the recovered friendship: %v", err)
+	}
+	srv, stored = restart(srv)
+	defer srv.Close()
+	if stored != 0 {
+		t.Fatalf("recovered snapshot still holds the removed friendship (%d copies)", stored)
+	}
+	for engine, want := range base {
+		if got := srv.Snapshot().Results[engine]; got != want {
+			t.Fatalf("%s after add+remove = %q, base served %q", engine, got, want)
+		}
+	}
+}

@@ -201,8 +201,10 @@ type Server struct {
 
 	// wal is the durability subsystem (nil when Config.PersistDir is
 	// empty): every committed batch is appended to it before the commit's
-	// waiters are released, and curr — the writer-owned materialized model
-	// state — is periodically snapshotted through it.
+	// waiters are released, and curr is periodically snapshotted through
+	// it. curr is the materialized model state: the integrity checker's
+	// State, which the writer's admission (check.ApplyAll) keeps current,
+	// so a commit pays O(|batch|) for it, removals included.
 	wal  *wal.Log
 	curr *model.Snapshot
 	// recovered reports that startup state came from a durable snapshot
@@ -220,7 +222,8 @@ type Server struct {
 	// (crash simulation). snapDone and cowPending are writer-owned:
 	// snapDone is the in-flight encode's completion channel, cowPending
 	// marks that the encoder's view still shares the edge arrays with curr,
-	// so a removal batch must detach (clone) them before applying.
+	// so a request carrying a removal must detach (clone) them before the
+	// checker admits it.
 	snapInProgress atomic.Bool
 	snapAbort      atomic.Bool
 	snapDone       chan struct{}
@@ -360,10 +363,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.phases.Load = rt.LoadDuration()
 	s.phases.Initial = rt.InitialDuration()
+	s.curr = check.State()
 
 	baseSeq, baseChanges := 0, 0
 	if s.wal != nil {
-		s.curr = d.Snapshot.Clone()
 		s.lastSnap = -1
 		if rec.HasSnapshot {
 			baseSeq = int(rec.SnapshotSeq)
@@ -388,7 +391,7 @@ func New(cfg Config) (*Server, error) {
 	if s.wal != nil && !rec.HasSnapshot {
 		// Seed a fresh durability directory with the base state so recovery
 		// never needs the dataset again.
-		if err := s.wal.WriteSnapshotStream(uint64(baseSeq), uint64(baseChanges), d.Snapshot, nil); err != nil {
+		if err := s.wal.WriteSnapshotStream(uint64(baseSeq), uint64(baseChanges), s.curr, nil); err != nil {
 			s.rt.Close()
 			s.wal.Close()
 			return nil, fmt.Errorf("server: seed snapshot: %w", err)

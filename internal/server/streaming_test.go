@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/model"
 	"repro/internal/wal"
 )
 
@@ -20,7 +22,10 @@ import (
 // copy-on-write path — with wait=1 acks, at 1 and 3 shards, under -race in
 // CI. Under the old blocking encode this test would deadlock: the writer
 // would sit inside the encode waiting for a gate only the test releases
-// after the commits. Afterwards the gate opens, the snapshot completes,
+// after the commits. The first removal after the encode starts comes in a
+// rejected request: the checker moves an edge into the removed one's slot
+// before the request fails, so that request must already detach the
+// encoder's arrays. Afterwards the gate opens, the snapshot completes,
 // and a restart from the directory must recover answers identical to the
 // live server's — retention is not traded for the stall fix.
 func TestCommitsDuringSnapshotEncode(t *testing.T) {
@@ -38,12 +43,29 @@ func testCommitsDuringSnapshotEncode(t *testing.T, shards int) {
 	if n < snapEvery+2 {
 		t.Fatalf("dataset too small: %d change sets", n)
 	}
-	removalsAfterTrigger := false
-	for k := snapEvery; k < n; k++ {
-		if d.ChangeSets[k].HasRemovals() {
-			removalsAfterTrigger = true
+	// The rejected request removes a base-snapshot like that the workload
+	// never removes (so it exists when the request arrives), then fails on
+	// a duplicate post.
+	removed := map[model.Like]bool{}
+	for k := range d.ChangeSets {
+		for _, ch := range d.ChangeSets[k].Changes {
+			if ch.Kind == model.KindRemoveLike {
+				removed[ch.Like] = true
+			}
+		}
+	}
+	var rejected []model.Change
+	for _, l := range d.Snapshot.Likes {
+		if !removed[l] {
+			rejected = []model.Change{
+				{Kind: model.KindRemoveLike, Like: l},
+				{Kind: model.KindAddPost, Post: d.Snapshot.Posts[0]},
+			}
 			break
 		}
+	}
+	if rejected == nil {
+		t.Fatal("the workload removes every base like")
 	}
 
 	gate := make(chan struct{})
@@ -85,6 +107,19 @@ func testCommitsDuringSnapshotEncode(t *testing.T, shards int) {
 		if err := srv.Enqueue(d.ChangeSets[k].Changes, true); err != nil {
 			t.Fatalf("change set %d with snapshot in flight: %v", k, err)
 		}
+		if k != snapEvery-1 {
+			continue
+		}
+		// The writer started the encode before taking the next request.
+		if err := srv.Enqueue(rejected, true); !errors.Is(err, ErrRejected) {
+			t.Fatalf("request failing on a duplicate post: %v, want ErrRejected", err)
+		}
+		srv.mu.Lock()
+		cowClones := srv.cowClones
+		srv.mu.Unlock()
+		if cowClones != 1 {
+			t.Fatalf("%d copy-on-write clones after a rejected removal during the encode, want 1", cowClones)
+		}
 	}
 	if !srv.snapInProgress.Load() {
 		t.Fatal("no snapshot encode in flight after the snapshot cadence point")
@@ -123,8 +158,8 @@ func testCommitsDuringSnapshotEncode(t *testing.T, shards int) {
 	if snapErrs != 0 {
 		t.Fatalf("%d snapshot errors", snapErrs)
 	}
-	if removalsAfterTrigger && cowClones == 0 {
-		t.Fatal("removal batches committed during the encode without a copy-on-write clone")
+	if cowClones != 1 {
+		t.Fatalf("%d copy-on-write clones during one encode, want 1", cowClones)
 	}
 	if maxStall <= 0 {
 		t.Fatal("no writer stall was recorded (handoff should register)")
