@@ -20,9 +20,11 @@
 // stops accepting requests, drains the write queue, flushes + fsyncs the
 // WAL, writes a final snapshot, and exits 0.
 //
-// Endpoints: GET /query/q1, GET /query/q2 (?engine=cc), POST /update,
-// GET /stats, GET /healthz (?probe=live). See internal/server for the
-// wire format, and cmd/ttcwal for offline inspection of a -data-dir.
+// Endpoints: GET /query/q1, GET /query/q2 (served by the connected-
+// components engine; ?engine=cc is an alias of it), POST /update (bodies
+// up to 4 MiB), GET /stats, GET /healthz (?probe=live). See
+// internal/server for the wire format, and cmd/ttcwal for offline
+// inspection of a -data-dir.
 package main
 
 import (

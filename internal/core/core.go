@@ -80,24 +80,6 @@ type Solution interface {
 	Update(cs *model.ChangeSet) (Result, error)
 }
 
-// DeltaEngine is the subtractive counterpart of Solution.Update: engines
-// that implement it can retract a self-contained subgraph — every like in
-// the retraction targets a retracted comment from a retracted user, every
-// friendship joins two retracted users — from their maintained state and
-// reevaluate, without reloading the surviving partition. This is what makes
-// a shard group migration O(|group|) on the donor side: the router computes
-// the migrated group's retraction once and the engine subtracts it, instead
-// of rebuilding matrices and re-scoring every remaining comment.
-//
-// Retract's contract mirrors Update: it returns the engine's post-retraction
-// answer, and the engine's LastResult/Stats reflect the retraction. Callers
-// must guarantee the self-containment precondition (the shard router's
-// groups provide it by construction); a retraction referencing unknown
-// entities is an error.
-type DeltaEngine interface {
-	Retract(r *model.Retraction) (Result, error)
-}
-
 // Ranker selects the best k entries under Less, in order. It is a partial
 // selection: O(n·k) with k = 3, cheaper than sorting all candidates.
 type Ranker struct {

@@ -62,14 +62,11 @@ func survivorSnapshot() *model.Snapshot {
 	}
 }
 
-// deltaEngines are the served Q2 engines, both of which must implement the
-// DeltaEngine capability.
-func deltaEngines(t *testing.T) map[string]Solution {
+// deltaEngines are the engines that retract, by subtest name: the served
+// Q2 engine.
+func deltaEngines(t *testing.T) map[string]*Q2IncrementalCC {
 	t.Helper()
-	return map[string]Solution{
-		"Q2Incremental":   NewQ2Incremental(),
-		"Q2IncrementalCC": NewQ2IncrementalCC(),
-	}
+	return map[string]*Q2IncrementalCC{"Q2IncrementalCC": NewQ2IncrementalCC()}
 }
 
 // TestRetractMatchesReload: retracting a migrated group from a warm engine
@@ -84,11 +81,7 @@ func TestRetractMatchesReload(t *testing.T) {
 			if _, err := sol.Initial(); err != nil {
 				t.Fatal(err)
 			}
-			de, ok := sol.(DeltaEngine)
-			if !ok {
-				t.Fatalf("%s does not implement DeltaEngine", sol.Name())
-			}
-			got, err := de.Retract(groupARetraction())
+			got, err := sol.Retract(groupARetraction())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,8 +98,8 @@ func TestRetractMatchesReload(t *testing.T) {
 				t.Fatalf("retract answer %q, reload answer %q", got, want)
 			}
 
-			gotStats := sol.(StatsReporter).Stats()
-			wantStats := fresh.(StatsReporter).Stats()
+			gotStats := sol.Stats()
+			wantStats := fresh.Stats()
 			if gotStats.Comments != wantStats.Comments || gotStats.Users != wantStats.Users ||
 				gotStats.NNZ != wantStats.NNZ {
 				t.Fatalf("retract stats %+v, reload stats %+v", gotStats, wantStats)
@@ -144,7 +137,7 @@ func TestRetractTopRankedForcesRerank(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Group B holds the top comment 20 (score 5): retract it.
-			got, err := sol.(DeltaEngine).Retract(&model.Retraction{
+			got, err := sol.Retract(&model.Retraction{
 				Users:    []model.ID{200, 201, 202},
 				Comments: []model.ID{20, 21},
 				Likes: []model.Like{
@@ -175,7 +168,7 @@ func TestRetractThenReAdd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sol.(DeltaEngine).Retract(groupARetraction()); err != nil {
+			if _, err := sol.Retract(groupARetraction()); err != nil {
 				t.Fatal(err)
 			}
 			// The group returns as the synthetic add stream a migration
@@ -195,7 +188,7 @@ func TestRetractThenReAdd(t *testing.T) {
 			if got.String() != initial.String() {
 				t.Fatalf("after retract+re-add: %q, want the initial answer %q", got, initial)
 			}
-			st := sol.(StatsReporter).Stats()
+			st := sol.Stats()
 			if st.Comments != 3 || st.Users != 5 {
 				t.Fatalf("revived stats %+v, want 3 comments / 5 users", st)
 			}
@@ -214,7 +207,7 @@ func TestRetractUnknownEntityFails(t *testing.T) {
 			if _, err := sol.Initial(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sol.(DeltaEngine).Retract(&model.Retraction{Comments: []model.ID{999}}); err == nil {
+			if _, err := sol.Retract(&model.Retraction{Comments: []model.ID{999}}); err == nil {
 				t.Fatal("retraction of unknown comment succeeded, want error")
 			}
 		})

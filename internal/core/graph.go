@@ -37,13 +37,6 @@ type graph struct {
 	likes     *grb.Matrix[bool]
 	likesT    *grb.Matrix[bool]
 	friends   *grb.Matrix[bool]
-
-	// retiredComments/retiredUsers (by dense index) are entities subtracted
-	// by a retraction (see retract): the id maps are append-only, so a
-	// retracted entity keeps its index but is excluded from ranking and
-	// stats until a re-add (a group migrating back) revives it.
-	retiredComments map[int]struct{}
-	retiredUsers    map[int]struct{}
 }
 
 // delta reports what one change set added, in dense-index terms at the
@@ -166,14 +159,12 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 			}
 			d.newPosts = append(d.newPosts, idx)
 		case model.KindAddUser:
-			idx := g.users.Add(ch.User.ID)
-			delete(g.retiredUsers, idx) // a re-add revives a retracted user
+			g.users.Add(ch.User.ID)
 		case model.KindAddComment:
 			idx := g.comments.Add(ch.Comment.ID)
 			if idx == len(g.commentTS) {
 				g.commentTS = append(g.commentTS, ch.Comment.Timestamp)
 			}
-			delete(g.retiredComments, idx) // a re-add revives a retracted comment
 		case model.KindAddFriendship, model.KindAddLike,
 			model.KindRemoveFriendship, model.KindRemoveLike:
 			// Edges are resolved in a second pass, after all nodes of the
@@ -293,7 +284,7 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 const pendingDivisor = 256
 
 // settle assembles every matrix whose pending tuples have reached the
-// pendingDivisor limit. Called at the end of apply and retract, it keeps
+// pendingDivisor limit. Called at the end of apply, it keeps
 // whole-graph assembly off the per-update path except when it is due.
 func (g *graph) settle() {
 	for _, m := range g.matrices() {
@@ -305,85 +296,4 @@ func (g *graph) settle() {
 
 func (g *graph) matrices() [5]*grb.Matrix[bool] {
 	return [5]*grb.Matrix[bool]{g.rootPost, g.rootPostT, g.likes, g.likesT, g.friends}
-}
-
-// retract subtracts a self-contained subgraph (see core.DeltaEngine for the
-// contract): the retraction's like and friendship edges are removed from
-// both orientations, retracted comments lose their rootPost edges, and the
-// retracted entities are marked retired. It returns the retired comment
-// indices so the engine can zero their maintained scores. Cost is
-// O(|retraction|) edge removals — never proportional to the surviving
-// partition.
-func (g *graph) retract(r *model.Retraction) ([]int, error) {
-	for _, l := range r.Likes {
-		ci, ok := g.comments.Index(l.CommentID)
-		if !ok {
-			return nil, fmt.Errorf("core: retraction references unknown comment %d", l.CommentID)
-		}
-		ui, ok := g.users.Index(l.UserID)
-		if !ok {
-			return nil, fmt.Errorf("core: retraction references unknown user %d", l.UserID)
-		}
-		if err := g.likes.RemoveElement(ci, ui); err != nil {
-			return nil, err
-		}
-		if err := g.likesT.RemoveElement(ui, ci); err != nil {
-			return nil, err
-		}
-	}
-	for _, f := range r.Friendships {
-		a, ok := g.users.Index(f.User1)
-		if !ok {
-			return nil, fmt.Errorf("core: retraction references unknown user %d", f.User1)
-		}
-		b, ok := g.users.Index(f.User2)
-		if !ok {
-			return nil, fmt.Errorf("core: retraction references unknown user %d", f.User2)
-		}
-		if err := g.friends.RemoveElement(a, b); err != nil {
-			return nil, err
-		}
-		if err := g.friends.RemoveElement(b, a); err != nil {
-			return nil, err
-		}
-	}
-	if g.retiredUsers == nil {
-		g.retiredUsers = make(map[int]struct{})
-	}
-	for _, id := range r.Users {
-		ui, ok := g.users.Index(id)
-		if !ok {
-			return nil, fmt.Errorf("core: retraction references unknown user %d", id)
-		}
-		g.retiredUsers[ui] = struct{}{}
-	}
-	if g.retiredComments == nil {
-		g.retiredComments = make(map[int]struct{})
-	}
-	retired := make([]int, 0, len(r.Comments))
-	for _, id := range r.Comments {
-		ci, ok := g.comments.Index(id)
-		if !ok {
-			return nil, fmt.Errorf("core: retraction references unknown comment %d", id)
-		}
-		// The comment leaves this partition entirely: its rootPost edge goes
-		// with it (a reload from the surviving partition would not have it).
-		row, err := grb.ExtractRow(g.rootPostT, ci)
-		if err != nil {
-			return nil, err
-		}
-		postIdx, _ := row.ExtractTuples()
-		for _, pi := range postIdx {
-			if err := g.rootPostT.RemoveElement(ci, pi); err != nil {
-				return nil, err
-			}
-			if err := g.rootPost.RemoveElement(pi, ci); err != nil {
-				return nil, err
-			}
-		}
-		g.retiredComments[ci] = struct{}{}
-		retired = append(retired, ci)
-	}
-	g.settle()
-	return retired, nil
 }

@@ -55,14 +55,10 @@ func q2ScoreAll(likes, friends *grb.Matrix[bool], commentIdx []int, scores []int
 	return firstErr
 }
 
-// q2TopK ranks every live comment by its dense score; retired comments
-// (retracted to another partition) are excluded.
+// q2TopK ranks every comment by its dense score.
 func q2TopK(g *graph, scores []int64) Result {
 	t := NewTopK(TopK)
 	for ci, score := range scores {
-		if _, gone := g.retiredComments[ci]; gone {
-			continue
-		}
 		t.Consider(Entry{ID: g.comments.IDOf(ci), Score: score, Timestamp: g.commentTS[ci]})
 	}
 	return t.Result()
@@ -264,35 +260,6 @@ func (s *Q2Incremental) Update(cs *model.ChangeSet) (Result, error) {
 		add(ci)
 	}
 	s.prev = t.Result()
-	return s.prev, nil
-}
-
-// Retract implements DeltaEngine: the retraction's edges leave the
-// matrices, its comments retire from the ranking, and their maintained
-// scores zero out. No surviving comment's score can change — the retracted
-// subgraph is self-contained, so no remaining comment shares a liker with
-// it — which means the previous answer stays valid unless it ranked a
-// now-retired comment; only then is the O(|comments|) re-rank paid.
-func (s *Q2Incremental) Retract(r *model.Retraction) (Result, error) {
-	retired, err := s.g.retract(r)
-	if err != nil {
-		return nil, err
-	}
-	for _, ci := range retired {
-		if ci < len(s.scores) {
-			s.scores[ci] = 0
-		}
-	}
-	rerank := s.prev == nil
-	for _, e := range s.prev {
-		if _, gone := s.g.retiredComments[s.g.comments.MustIndex(e.ID)]; gone {
-			rerank = true
-			break
-		}
-	}
-	if rerank {
-		s.prev = q2TopK(s.g, s.scores)
-	}
 	return s.prev, nil
 }
 

@@ -11,8 +11,8 @@ import (
 // re-running connected components over each affected comment's induced
 // subgraph, it maintains the components themselves incrementally (in the
 // spirit of Ediger et al., "Tracking structure of streaming social
-// networks"). The case study's update stream is insert-only, so components
-// only ever merge and a disjoint-set union per comment tracks them exactly:
+// networks"). Insertions only ever merge components, so a disjoint-set
+// union per comment tracks them exactly:
 //
 //   - a new like adds the user to the comment's DSU and unions it with its
 //     friends already present — O(deg_friends(u) · α);
@@ -21,8 +21,12 @@ import (
 //   - each union updates the comment's Σ sizes² score in O(1) via
 //     (s₁+s₂)² − s₁² − s₂².
 //
-// Scores therefore never need recomputation, at the price of per-comment
-// DSU state (ca. one integer pair per like).
+// A DSU cannot split, so removals (the paper's future-work workload) are
+// handled per comment: an unlike rebuilds that comment's DSU, and an
+// unfriend rebuilds every comment both users still like, each from the
+// current liker set and friendship adjacency. Insertions never recompute a
+// score; the price is per-comment DSU state (ca. one integer pair per
+// like). This is the Q2 engine the sharded server runs.
 type Q2IncrementalCC struct {
 	// Entity bookkeeping (same dense index spaces as the matrix engines).
 	posts    *model.IDMap // unused for scoring; retained for symmetry
@@ -267,12 +271,24 @@ func (s *Q2IncrementalCC) Initial() (Result, error) {
 	return s.prev, nil
 }
 
-// Retract implements DeltaEngine: retracted users lose their adjacency and
-// like lists wholesale, retracted comments drop their component state, and
-// both retire from the ranking. Self-containment (see core.DeltaEngine)
-// guarantees no surviving user or comment references the retracted set, so
-// no surviving score changes and the previous answer stays valid unless it
-// ranked a now-retired comment.
+// Retract is the subtractive counterpart of Update: it removes a
+// self-contained subgraph — every like in the retraction targets a
+// retracted comment from a retracted user, every friendship joins two
+// retracted users — from the maintained state and reevaluates, without
+// reloading the surviving partition. This is what makes a shard group
+// migration O(|group|) on the donor side: the shard router computes the
+// migrated group's retraction once and the donor's engine subtracts it.
+//
+// The contract mirrors Update: Retract returns the post-retraction answer,
+// and LastResult/Stats reflect the retraction. Callers must guarantee
+// self-containment (the router's groups provide it by construction); a
+// retraction referencing unknown entities is an error.
+//
+// Retracted users lose their adjacency and like lists wholesale, retracted
+// comments drop their component state, and both retire from the ranking
+// until a re-add revives them. Self-containment means no surviving user or
+// comment references the retracted set, so no surviving score changes and
+// the previous answer stays valid unless it ranked a now-retired comment.
 func (s *Q2IncrementalCC) Retract(r *model.Retraction) (Result, error) {
 	if s.retiredUsers == nil {
 		s.retiredUsers = make(map[int]struct{})

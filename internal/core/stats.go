@@ -55,17 +55,14 @@ type StatsReporter interface {
 // engineStats sizes the matrix state shared by the GraphBLAS engines in
 // O(1): NVals counts pending tuples without assembling them, so reading the
 // stats after every commit leaves the engine state untouched.
-// Retired entities (retracted to another partition; see graph.retract) are
-// excluded, so a donor repaired incrementally reports the same live counts
-// a reloaded donor would.
 func (g *graph) engineStats() EngineStats {
 	if g == nil {
 		return EngineStats{}
 	}
 	st := EngineStats{
 		Posts:    g.posts.Len(),
-		Comments: g.comments.Len() - len(g.retiredComments),
-		Users:    g.users.Len() - len(g.retiredUsers),
+		Comments: g.comments.Len(),
+		Users:    g.users.Len(),
 	}
 	for _, m := range g.matrices() {
 		st.NNZ += m.NVals()

@@ -186,11 +186,10 @@ func (s *Server) replayWAL(check *model.Checker, batches []wal.Batch) bool {
 
 // applyAndPublish is the one commit step of live commits and startup
 // replay alike. It commits the batch through the sharded runtime — whose
-// barrier returns only once every shard has applied its slice — publishes
-// the new Snapshot at seq, and cross-checks the two Q2 engines' answers.
-// The batch must already have been admitted (admit), which also folded it
-// into curr, and, when persistent, be in the WAL. An error means the
-// shards may have diverged.
+// barrier returns only once every shard has applied its slice — and
+// publishes the new Snapshot at seq. The batch must already have been
+// admitted (admit), which also folded it into curr, and, when persistent,
+// be in the WAL. An error means the shards may have diverged.
 func (s *Server) applyAndPublish(seq int, cs *model.ChangeSet) error {
 	start := time.Now()
 	results, err := s.rt.Commit(cs)
@@ -214,9 +213,6 @@ func (s *Server) applyAndPublish(seq int, cs *model.ChangeSet) error {
 	s.phases.UpdateCount++
 	s.phases.UpdateTotal += elapsed
 	s.phases.UpdateLast = elapsed
-	if results[EngineQ2] != results[EngineQ2CC] {
-		s.q2Disagreements++
-	}
 	s.mu.Unlock()
 	return nil
 }

@@ -17,8 +17,10 @@ import (
 // The HTTP API:
 //
 //	GET  /query/q1            Q1 top-3 from the last committed snapshot
-//	GET  /query/q2            Q2 top-3 (?engine=cc serves the CC extension)
-//	POST /update              enqueue changes; {"wait":true} blocks to commit
+//	GET  /query/q2            Q2 top-3; ?engine=cc and ?engine=incremental
+//	                          name the same (connected-components) engine
+//	POST /update              enqueue changes; {"wait":true} blocks to commit;
+//	                          bodies over maxUpdateBody get 413
 //	GET  /stats               per-phase latencies, engine sizes, queue depth
 //	GET  /healthz             readiness: 503 + JSON reason during startup
 //	                          WAL replay or after an engine failure, 200
@@ -59,8 +61,6 @@ func engineCacheIdx(engine string) int {
 		return 0
 	case EngineQ2:
 		return 1
-	case EngineQ2CC:
-		return 2
 	default:
 		return -1
 	}
@@ -102,22 +102,19 @@ func (s *Server) handleQuery(query, key string) http.HandlerFunc {
 			httpError(w, http.StatusMethodNotAllowed, "use GET")
 			return
 		}
-		engine := key
-		if e := r.URL.Query().Get("engine"); e != "" {
-			switch {
-			case key == EngineQ2 && e == "cc":
-				engine = EngineQ2CC
-			case e == "incremental":
-				// the default; accepted for symmetry
-			default:
-				httpError(w, http.StatusBadRequest, "unknown engine %q for %s", e, query)
-				return
-			}
+		switch e := r.URL.Query().Get("engine"); {
+		case e == "", e == "incremental":
+			// the default; "incremental" is accepted for symmetry
+		case e == "cc" && key == EngineQ2:
+			// the Q2 engine is the connected-components extension
+		default:
+			httpError(w, http.StatusBadRequest, "unknown engine %q for %s", e, query)
+			return
 		}
 		snap := s.Snapshot()
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(snap.queryBody(query, engine))
+		_, _ = w.Write(snap.queryBody(query, key))
 	}
 }
 
@@ -256,15 +253,24 @@ type updateResponse struct {
 	Seq int `json:"seq"`
 }
 
+// maxUpdateBody caps an /update request body, so one request cannot make
+// the decoder allocate without bound.
+const maxUpdateBody = 4 << 20
+
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	var req updateRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, "update body exceeds %d bytes", maxUpdateBody)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad update body: %v", err)
 		return
 	}
@@ -317,19 +323,18 @@ type statsResponse struct {
 	Changes int `json:"changes"`
 	// Inserts/Removals split the changes committed by this process
 	// (model.ChangeSet.InsertCount/RemovalCount).
-	Inserts         int                         `json:"inserts"`
-	Removals        int                         `json:"removals"`
-	QueueDepth      int                         `json:"queueDepth"`
-	Threads         int                         `json:"threads"`
-	Engines         map[string]core.EngineStats `json:"engines"`
-	Q2Disagreements int                         `json:"q2Disagreements"`
-	Broken          string                      `json:"broken,omitempty"`
+	Inserts    int                         `json:"inserts"`
+	Removals   int                         `json:"removals"`
+	QueueDepth int                         `json:"queueDepth"`
+	Threads    int                         `json:"threads"`
+	Engines    map[string]core.EngineStats `json:"engines"`
+	Broken     string                      `json:"broken,omitempty"`
 
 	// Shards reports each engine shard's queue depth and apply latencies;
 	// Rebalances counts Q2 group migrations between shards, DonorRepairs
-	// the donor-shard commits that retracted a migrated group via
-	// core.DeltaEngine, and ParkedComments the likeless comments the router
-	// holds outside every Q2 partition (engine comment totals + parked = all
+	// the donor-shard commits that retracted a migrated group from their Q2
+	// engine, and ParkedComments the likeless comments the router holds
+	// outside every Q2 partition (engine comment totals + parked = all
 	// comments).
 	Shards         []shardStatsJSON `json:"shards"`
 	Rebalances     int              `json:"rebalances"`
@@ -435,7 +440,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	m := s.phases
-	disagreements := s.q2Disagreements
 	broken := s.broken
 	recovery := s.recovery
 	lastSnapDur := s.lastSnapDur
@@ -450,18 +454,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	resp := statsResponse{
-		Load:            durationMS(m.Load),
-		Initial:         durationMS(m.Initial),
-		Seq:             snap.Seq,
-		Changes:         snap.Changes,
-		Inserts:         snap.Inserts,
-		Removals:        snap.Removals,
-		QueueDepth:      s.QueueDepth(),
-		Threads:         grb.Threads(),
-		Engines:         snap.Engines,
-		Q2Disagreements: disagreements,
-		Rebalances:      s.rt.Rebalances(),
-		ParkedComments:  s.rt.ParkedComments(),
+		Load:           durationMS(m.Load),
+		Initial:        durationMS(m.Initial),
+		Seq:            snap.Seq,
+		Changes:        snap.Changes,
+		Inserts:        snap.Inserts,
+		Removals:       snap.Removals,
+		QueueDepth:     s.QueueDepth(),
+		Threads:        grb.Threads(),
+		Engines:        snap.Engines,
+		Rebalances:     s.rt.Rebalances(),
+		ParkedComments: s.rt.ParkedComments(),
 	}
 	for _, st := range s.rt.ShardStats() {
 		resp.DonorRepairs += st.Repairs

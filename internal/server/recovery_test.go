@@ -46,9 +46,6 @@ func checkAgainstOracle(t *testing.T, label string, snap *Snapshot, k int, oracl
 	if got := snap.Results[EngineQ2]; got != oracleQ2[k] {
 		t.Fatalf("%s: Q2 at seq %d served %q, oracle %q", label, k, got, oracleQ2[k])
 	}
-	if got := snap.Results[EngineQ2CC]; got != oracleQ2[k] {
-		t.Fatalf("%s: Q2-CC at seq %d served %q, oracle %q", label, k, got, oracleQ2[k])
-	}
 }
 
 // TestCrashRecoveryOracle is the durability centerpiece: a persistent
@@ -267,7 +264,7 @@ func TestCompactedWALRecoveryOracle(t *testing.T) {
 	if compacted.Seq != final.Seq || plain.Seq != final.Seq {
 		t.Fatalf("recovered seqs %d (compacted) / %d (plain), want %d", compacted.Seq, plain.Seq, final.Seq)
 	}
-	for _, key := range []string{EngineQ1, EngineQ2, EngineQ2CC} {
+	for _, key := range []string{EngineQ1, EngineQ2} {
 		if compacted.Results[key] != plain.Results[key] {
 			t.Fatalf("engine %s: compacted recovery %q differs from plain recovery %q",
 				key, compacted.Results[key], plain.Results[key])
@@ -354,7 +351,7 @@ func TestServerCompactEvery(t *testing.T) {
 	}
 	defer srv2.Close()
 	waitReady(t, srv2)
-	for _, key := range []string{EngineQ1, EngineQ2, EngineQ2CC} {
+	for _, key := range []string{EngineQ1, EngineQ2} {
 		if got := srv2.Snapshot().Results[key]; got != final.Results[key] {
 			t.Fatalf("engine %s after restart: %q, want %q", key, got, final.Results[key])
 		}

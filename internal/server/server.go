@@ -1,6 +1,6 @@
 // Package server turns the paper's continuous-reevaluation loop into a
 // long-lived serving subsystem: it loads a Social Media dataset once, keeps
-// the incremental engines (GraphBLAS Q1/Q2 and the connected-components Q2
+// the incremental engines (GraphBLAS Q1 and the connected-components Q2
 // extension) warm behind an N-way sharded runtime (internal/shard), ingests
 // comment/like/friendship updates through a batching write queue, and
 // serves concurrent Q1/Q2 reads over HTTP/JSON with snapshot isolation —
@@ -35,9 +35,8 @@ import (
 
 // Engine keys served by the query endpoints.
 const (
-	EngineQ1   = "q1"   // GraphBLAS Incremental, Q1
-	EngineQ2   = "q2"   // GraphBLAS Incremental, Q2
-	EngineQ2CC = "q2cc" // incremental connected components, Q2
+	EngineQ1 = "q1" // GraphBLAS Incremental, Q1
+	EngineQ2 = "q2" // incremental connected components, Q2
 )
 
 // Config parameterizes a Server.
@@ -244,10 +243,6 @@ type Server struct {
 	// committed batch), aggregated to O(1) state so a long-lived server
 	// never grows with commit count.
 	phases phaseStats
-	// q2Disagreements counts commits where the Q2 matrix engine and the
-	// connected-components extension disagreed — continuous cross-
-	// validation in the spirit of ttcvalidate; anything nonzero is a bug.
-	q2Disagreements int
 	// recovery, replayDone/replayTotal, lastSnap (seq of the last durable
 	// snapshot this process wrote — updated by the background encoder, so
 	// mu-guarded), lastSnapDur and snapErrs are the durability bookkeeping

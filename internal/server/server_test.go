@@ -185,11 +185,8 @@ func testServeConcurrentReadsWithOracle(t *testing.T, shards int) {
 	if st.Seq != len(d.ChangeSets) || st.Updates.Count != len(d.ChangeSets) {
 		t.Errorf("stats: seq=%d updates=%d, want %d", st.Seq, st.Updates.Count, len(d.ChangeSets))
 	}
-	if st.Q2Disagreements != 0 {
-		t.Errorf("Q2 engines disagreed on %d commits", st.Q2Disagreements)
-	}
-	if st.Engines[EngineQ1].NNZ == 0 || st.Engines[EngineQ2].NNZ == 0 || st.Engines[EngineQ2CC].NNZ == 0 {
-		t.Errorf("engine stats missing nnz: %+v", st.Engines)
+	if len(st.Engines) != 2 || st.Engines[EngineQ1].NNZ == 0 || st.Engines[EngineQ2].NNZ == 0 {
+		t.Errorf("engine stats: want nonzero nnz for exactly q1 and q2, got %+v", st.Engines)
 	}
 	if len(st.Shards) != shards {
 		t.Fatalf("stats report %d shards, want %d", len(st.Shards), shards)
@@ -288,6 +285,113 @@ func TestUpdateValidation(t *testing.T) {
 	getJSON(t, ts.URL+"/query/q1", &qr)
 	if qr.Result != before.Results[EngineQ1] {
 		t.Errorf("Q1 result changed across rejected updates: %q vs %q", qr.Result, before.Results[EngineQ1])
+	}
+}
+
+// TestQueryEngineParam pins the ?engine= spellings: /query/q2, ?engine=cc
+// and ?engine=incremental all name the one Q2 engine and serve the same
+// cached body, and an engine a query does not have is a 400.
+func TestQueryEngineParam(t *testing.T) {
+	srv, err := New(Config{Dataset: datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 5})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		return resp.StatusCode, body
+	}
+	_, want := get("/query/q2")
+	var qr queryResponse
+	if err := json.Unmarshal(want, &qr); err != nil {
+		t.Fatal(err)
+	}
+	if qr.Engine != EngineQ2 || qr.Result != srv.Snapshot().Results[EngineQ2] {
+		t.Fatalf("/query/q2 served %+v, want engine %q result %q", qr, EngineQ2, srv.Snapshot().Results[EngineQ2])
+	}
+	for _, tc := range []struct {
+		path string
+		code int
+	}{
+		{"/query/q2", http.StatusOK},
+		{"/query/q2?engine=cc", http.StatusOK},
+		{"/query/q2?engine=incremental", http.StatusOK},
+		{"/query/q2?engine=bogus", http.StatusBadRequest},
+		{"/query/q1?engine=cc", http.StatusBadRequest},
+	} {
+		code, body := get(tc.path)
+		if code != tc.code {
+			t.Errorf("GET %s: status %d, want %d", tc.path, code, tc.code)
+			continue
+		}
+		if code == http.StatusOK && !bytes.Equal(body, want) {
+			t.Errorf("GET %s: body %s, want the /query/q2 body %s", tc.path, body, want)
+		}
+	}
+}
+
+// TestUpdateBodyLimit: an /update body over maxUpdateBody is refused with
+// 413 and commits nothing, while an ordinary 64-change body still commits.
+func TestUpdateBodyLimit(t *testing.T) {
+	srv, err := New(Config{Dataset: datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 6}), FlushInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	users := func(first model.ID, n int) []model.Change {
+		out := make([]model.Change, n)
+		for i := range out {
+			out[i] = model.Change{Kind: model.KindAddUser, User: model.User{ID: first + model.ID(i)}}
+		}
+		return out
+	}
+	// Every change is valid: only the size makes this request unacceptable.
+	wire := make([]any, 0, 1<<17)
+	for _, ch := range users(8_000_000, 1<<17) {
+		wire = append(wire, WireChange(ch))
+	}
+	big, err := json.Marshal(map[string]any{"changes": wire, "wait": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(big) <= maxUpdateBody {
+		t.Fatalf("oversized body is only %d bytes, limit %d", len(big), maxUpdateBody)
+	}
+	before := srv.Snapshot()
+	resp, err := http.Post(ts.URL+"/update", "application/json", bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if got := srv.Snapshot(); got.Seq != before.Seq || got.Changes != before.Changes {
+		t.Fatalf("oversized body committed: seq %d→%d, changes %d→%d", before.Seq, got.Seq, before.Changes, got.Changes)
+	}
+
+	resp, ur := postUpdate(t, ts.URL, users(9_000_000, 64), true)
+	if resp.StatusCode != http.StatusOK || !ur.Committed || ur.Seq != before.Seq+1 {
+		t.Fatalf("64-change body: status %d, %+v; want 200, committed at seq %d", resp.StatusCode, ur, before.Seq+1)
+	}
+	if got := srv.Snapshot().Changes; got != before.Changes+64 {
+		t.Fatalf("64-change body: %d changes committed, want %d", got, before.Changes+64)
 	}
 }
 

@@ -25,7 +25,7 @@ type Snapshot struct {
 	// insertion volume from removal churn.
 	Inserts  int
 	Removals int
-	// Results maps engine key (EngineQ1, EngineQ2, EngineQ2CC) to the
+	// Results maps engine key (EngineQ1, EngineQ2) to the
 	// contest's "id|id|id" answer string.
 	Results map[string]string
 	// Engines sizes each engine's maintained state as of this commit.
@@ -43,5 +43,5 @@ type Snapshot struct {
 	// invalidates the cache by construction (the commit sequence is the
 	// epoch). Concurrent first readers may race to fill a slot; they
 	// marshal identical bytes, so last-store-wins is harmless.
-	respCache [3]atomic.Pointer[[]byte]
+	respCache [2]atomic.Pointer[[]byte]
 }

@@ -26,7 +26,7 @@ func TestSnapshotStaleness(t *testing.T) {
 	if before.Seq != 0 || before.Changes != 0 {
 		t.Fatalf("initial snapshot: seq=%d changes=%d, want 0/0", before.Seq, before.Changes)
 	}
-	for _, key := range []string{EngineQ1, EngineQ2, EngineQ2CC} {
+	for _, key := range []string{EngineQ1, EngineQ2} {
 		if _, ok := before.Results[key]; !ok {
 			t.Errorf("initial snapshot missing %s result", key)
 		}

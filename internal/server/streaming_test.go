@@ -218,7 +218,7 @@ func TestQueryBodyEpochCache(t *testing.T) {
 		t.Fatalf("cached body %+v disagrees with snapshot seq %d", resp, snap.Seq)
 	}
 	// Distinct engines use distinct slots.
-	if bytes.Equal(snap.queryBody("Q2", EngineQ2CC), b1) && snap.Results[EngineQ2CC] != snap.Results[EngineQ1] {
+	if bytes.Equal(snap.queryBody("Q2", EngineQ2), b1) {
 		t.Fatal("engines share a cache slot")
 	}
 

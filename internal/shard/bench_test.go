@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/model"
 )
@@ -18,8 +19,8 @@ import (
 // surviving partition has exactly `remaining`+1 entities.
 //
 // Sweeping `remaining` with the group size fixed shows the flat-vs-linear
-// contrast: incremental repair (DeltaEngine retraction) stays flat, while
-// rebuilding the donor's Q2 engines grows with the surviving partition.
+// contrast: incremental repair (Q2IncrementalCC.Retract) stays flat, while
+// rebuilding the donor's Q2 engine grows with the surviving partition.
 func donorFixture(remaining, group int) (*model.Snapshot, *model.ChangeSet) {
 	big := remaining + group + 10 // strictly biggest: placed first, wins the merge
 	snap := &model.Snapshot{Posts: []model.Post{{ID: 1, Timestamp: 1}}}
@@ -86,8 +87,8 @@ func donorShard(b *testing.B, rt *Runtime) int {
 }
 
 // BenchmarkDonorRepair times the cross-shard merge commit, in which the
-// donor subtracts the migrated group through core.DeltaEngine: cost tracks
-// the migrated-group size, not the donor's surviving partition.
+// donor subtracts the migrated group through its Q2 engine's Retract: cost
+// tracks the migrated-group size, not the donor's surviving partition.
 // repair-ns/op is the retraction alone; ns/op also pays routing, the
 // recipient's adds and the per-commit stats observation.
 func BenchmarkDonorRepair(b *testing.B) {
@@ -107,9 +108,9 @@ func BenchmarkDonorRepair(b *testing.B) {
 }
 
 // BenchmarkDonorReload is the baseline the repair replaced: after the same
-// commit it times rebuilding the donor's Q2 engines from its surviving
-// partition — rendering the partition, then Load and Initial on fresh
-// engines — so cost grows with the partition.
+// commit it times rebuilding the donor's Q2 engine from its surviving
+// partition — rendering the partition, then Load and Initial on a fresh
+// engine — so cost grows with the partition.
 func BenchmarkDonorReload(b *testing.B) {
 	sweepDonor(b, func(b *testing.B, snap *model.Snapshot, bridge *model.ChangeSet) {
 		for i := 0; i < b.N; i++ {
@@ -118,15 +119,12 @@ func BenchmarkDonorReload(b *testing.B) {
 			commitBridge(b, rt, bridge)
 			donor := donorShard(b, rt)
 			b.StartTimer()
-			part := rt.router.q2Snapshot(donor)
-			for _, e := range q2Lineup {
-				sol := e.new()
-				if err := sol.Load(part); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sol.Initial(); err != nil {
-					b.Fatal(err)
-				}
+			sol := core.NewQ2IncrementalCC()
+			if err := sol.Load(rt.router.q2Snapshot(donor)); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sol.Initial(); err != nil {
+				b.Fatal(err)
 			}
 			b.StopTimer()
 			rt.Close()
@@ -137,7 +135,7 @@ func BenchmarkDonorReload(b *testing.B) {
 // BenchmarkCommitSteady times steady-state single-like commits on 2 shards
 // at two graph sizes. Each commit likes a fresh (user, comment) pair, so
 // every one routes, updates the engines of one or two shards and observes
-// every engine's answer and stats. Per-commit work follows the change, so
+// both engines' answers and stats. Per-commit work follows the change, so
 // ns/op should stay roughly flat from sf 4 to sf 16.
 func BenchmarkCommitSteady(b *testing.B) {
 	for _, sf := range []int{4, 16} {

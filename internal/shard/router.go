@@ -26,7 +26,7 @@ import (
 //     shard's Q2 scores exact for the comments it owns. When a new edge
 //     merges two groups living on different shards, the router migrates the
 //     smaller (by materialized entities) group to the other shard: the
-//     donor retracts it from its Q2 engines and the recipient adds it.
+//     donor retracts it from its Q2 engine and the recipient adds it.
 //
 //     Comments with no likes are not assigned to any shard at all: they
 //     score exactly 0, so the router parks them locally and ranks the
@@ -65,7 +65,7 @@ func (k nodeKey) less(o nodeKey) bool {
 
 // q2state is the authoritative content of one shard's Q2 partition: the
 // users and comments it owns plus the edges among them. It is what moves
-// during a rebalance and what a shard's Q2 engines load from at startup.
+// during a rebalance and what a shard's Q2 engine loads from at startup.
 type q2state struct {
 	users    map[model.ID]struct{}
 	comments map[model.ID]model.Comment
@@ -85,10 +85,10 @@ func newQ2State() *q2state {
 // shardOp is one migration-bookkeeping step for a single shard, applied
 // before the shard's routed q2 stream. Exactly one field is set: retract is
 // the donor side of a group migration (a self-contained subtractive delta
-// for core.DeltaEngine), synthetic the recipient side (the moved subgraph
-// replayed as adds). Ops are chronological — a shard that receives a group
-// and then donates the merged result in the same commit sees the add batch
-// before the retraction.
+// for core.Q2IncrementalCC.Retract), synthetic the recipient side (the
+// moved subgraph replayed as adds). Ops are chronological — a shard that
+// receives a group and then donates the merged result in the same commit
+// sees the add batch before the retraction.
 type shardOp struct {
 	retract   *model.Retraction
 	synthetic []model.Change
@@ -384,11 +384,12 @@ func (r *router) union(a, b nodeKey, p *plan) error {
 
 // migrate moves the materialized entities of the group rooted at loser from
 // its current shard to dest: the moved subgraph is expressed once as a
-// keyed delta, queued for the donor as a retraction (its core.DeltaEngine
-// Q2 engines subtract it) and for the recipient as synthetic add-changes. All materialized members of a
-// group live on its shard and all their Q2-relevant edges are intra-group,
-// so moving the member list moves a complete, self-contained subgraph —
-// exactly the precondition DeltaEngine.Retract requires.
+// keyed delta, queued for the donor as a retraction (its Q2 engine
+// subtracts it) and for the recipient as synthetic add-changes. All
+// materialized members of a group live on its shard and all their
+// Q2-relevant edges are intra-group, so moving the member list moves a
+// complete, self-contained subgraph — exactly the precondition
+// core.Q2IncrementalCC.Retract requires.
 func (r *router) migrate(loser, dest int, p *plan) {
 	src := r.groupShard[loser]
 	from, to := r.states[src], r.states[dest]

@@ -3,12 +3,13 @@
 // their comment subtrees) for Q1, friendship-connected groups of users and
 // the comments they like for Q2 — and one writer goroutine per shard
 // applies that shard's slice of every committed change set to its own warm
-// engine instances. Because ownership is exclusive and each partition is
-// closed under the edges its query reads, every shard's top-3 answer is
-// exact for the entities it owns, and the global answer is recovered at
-// read time by merging the per-shard answers with core.MergedTopK — the
-// sharded runtime is change-for-change indistinguishable from a single
-// engine.
+// engines: one Q1 engine (core.Q1Incremental) and one Q2 engine
+// (core.Q2IncrementalCC). Because ownership is exclusive and each
+// partition is closed under the edges its query reads, every shard's top-3
+// answer is exact for the entities it owns, and the global answer is
+// recovered at read time by merging the per-shard answers with
+// core.MergedTopK — the sharded runtime is change-for-change
+// indistinguishable from a single engine.
 //
 // Commits are barriers: Commit routes the change set (rebalancing Q2
 // groups that a new edge merged across shards), fans the per-shard work out
@@ -35,7 +36,7 @@ type Stats struct {
 	// Commits counts commands the shard's writer has applied.
 	Commits int
 	// Repairs counts commits in which the shard donated a Q2 group and
-	// retracted it from its engines through core.DeltaEngine.
+	// retracted it from its Q2 engine (core.Q2IncrementalCC.Retract).
 	Repairs int
 	// Last and Total aggregate the shard's apply latencies; RepairLast and
 	// RepairTotal the subtractive-delta portion of repair commits.
@@ -61,41 +62,9 @@ func (s Stats) RepairMean() time.Duration {
 	return s.RepairTotal / time.Duration(s.Repairs)
 }
 
-// q2Engine is the contract of a served Q2 engine: besides answering the
-// query it must retract, because a donor shard subtracts a migrated group
-// from its engines instead of rebuilding them.
-type q2Engine interface {
-	core.Solution
-	core.DeltaEngine
-}
-
-// engineInst is one warm engine on one shard, under its served key.
-type engineInst[S core.Solution] struct {
-	key string
-	sol S
-}
-
-// The served lineup, in serving order: every shard keeps one warm instance
-// of each engine, keyed as the serving layer names them.
-var (
-	q1Lineup = []struct {
-		key string
-		new func() core.Solution
-	}{
-		{"q1", func() core.Solution { return core.NewQ1Incremental() }},
-	}
-	q2Lineup = []struct {
-		key string
-		new func() q2Engine
-	}{
-		{"q2", func() q2Engine { return core.NewQ2Incremental() }},
-		{"q2cc", func() q2Engine { return core.NewQ2IncrementalCC() }},
-	}
-)
-
 // command is one commit's slice of work for a single shard.
 type command struct {
-	q1 []model.Change // post-routed stream, applied to Q1-family engines
+	q1 []model.Change // post-routed stream, applied to the Q1 engine
 	q2 []model.Change // group-routed stream, applied after ops
 	// ops are the shard's chronological migration steps: retractions when it
 	// donates a group, synthetic adds when it receives one.
@@ -106,11 +75,16 @@ type command struct {
 type response struct {
 	shard     int
 	err       error
-	results   map[string]core.Result
-	stats     map[string]core.EngineStats
-	repaired  bool // a donated group was subtracted via DeltaEngine
+	obs       observation
+	repaired  bool // a donated group was subtracted via Retract
 	repairDur time.Duration
 	elapsed   time.Duration
+}
+
+// observation is one shard's last committed answers and state sizes.
+type observation struct {
+	q1, q2           core.Result
+	q1Stats, q2Stats core.EngineStats
 }
 
 // worker owns one shard's engines. Only its goroutine touches them after
@@ -119,8 +93,8 @@ type worker struct {
 	id   int
 	cmds chan command
 	done chan struct{}
-	q1   []engineInst[core.Solution]
-	q2   []engineInst[q2Engine]
+	q1   *core.Q1Incremental
+	q2   *core.Q2IncrementalCC
 }
 
 // Runtime is the sharded engine runtime. New loads the partitions and
@@ -137,14 +111,13 @@ type Runtime struct {
 	initialDur time.Duration
 
 	mu             sync.Mutex
-	last           []map[string]core.Result
-	lastStats      []map[string]core.EngineStats
+	last           []observation
 	meta           []Stats
 	rebalances     int
 	parkedComments int
 
 	// merge is the reusable top-k heap Results folds the per-shard answers
-	// through — one commit-path merge per engine per commit, so a fresh
+	// through — one commit-path merge per query per commit, so a fresh
 	// allocation each round is pure garbage. Owned by the committing
 	// goroutine (the only caller of Results).
 	merge *core.MergedTopK
@@ -170,21 +143,19 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 		n:              n,
 		router:         router,
 		workers:        make([]*worker, n),
-		last:           make([]map[string]core.Result, n),
-		lastStats:      make([]map[string]core.EngineStats, n),
+		last:           make([]observation, n),
 		meta:           make([]Stats, n),
 		parkedComments: len(router.parked),
 		merge:          core.NewMergedTopK(core.TopK),
 	}
 	for s := 0; s < n; s++ {
-		w := &worker{id: s, cmds: make(chan command, 1), done: make(chan struct{})}
-		for _, e := range q1Lineup {
-			w.q1 = append(w.q1, engineInst[core.Solution]{e.key, e.new()})
+		rt.workers[s] = &worker{
+			id:   s,
+			cmds: make(chan command, 1),
+			done: make(chan struct{}),
+			q1:   core.NewQ1Incremental(),
+			q2:   core.NewQ2IncrementalCC(),
 		}
-		for _, e := range q2Lineup {
-			w.q2 = append(w.q2, engineInst[q2Engine]{e.key, e.new()})
-		}
-		rt.workers[s] = w
 		rt.meta[s].Shard = s
 	}
 
@@ -205,17 +176,11 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 
 	start := time.Now()
 	phase(func(w *worker, s int) error {
-		q1Snap := router.q1Snapshot(snap, s)
-		q2Snap := router.q2Snapshot(s)
-		for _, e := range w.q1 {
-			if err := e.sol.Load(q1Snap); err != nil {
-				return fmt.Errorf("shard %d: %s load: %w", s, e.sol.Name(), err)
-			}
+		if err := w.q1.Load(router.q1Snapshot(snap, s)); err != nil {
+			return fmt.Errorf("shard %d: %s load: %w", s, w.q1.Name(), err)
 		}
-		for _, e := range w.q2 {
-			if err := e.sol.Load(q2Snap); err != nil {
-				return fmt.Errorf("shard %d: %s load: %w", s, e.sol.Name(), err)
-			}
+		if err := w.q2.Load(router.q2Snapshot(s)); err != nil {
+			return fmt.Errorf("shard %d: %s load: %w", s, w.q2.Name(), err)
 		}
 		return nil
 	})
@@ -228,9 +193,9 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 
 	start = time.Now()
 	phase(func(w *worker, s int) error {
-		for _, e := range w.engines() {
-			if _, err := e.sol.Initial(); err != nil {
-				return fmt.Errorf("shard %d: %s initial: %w", s, e.sol.Name(), err)
+		for _, sol := range []core.Solution{w.q1, w.q2} {
+			if _, err := sol.Initial(); err != nil {
+				return fmt.Errorf("shard %d: %s initial: %w", s, sol.Name(), err)
 			}
 		}
 		return nil
@@ -243,35 +208,17 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 	rt.initialDur = time.Since(start)
 
 	for s := 0; s < n; s++ {
-		rt.last[s], rt.lastStats[s] = rt.workers[s].observe()
+		rt.last[s] = rt.workers[s].observe()
 		go rt.workers[s].run()
 	}
 	return rt, nil
 }
 
-func (w *worker) engines() []engineInst[core.Solution] {
-	out := append(make([]engineInst[core.Solution], 0, len(w.q1)+len(w.q2)), w.q1...)
-	for _, e := range w.q2 {
-		out = append(out, engineInst[core.Solution]{e.key, e.sol})
-	}
-	return out
-}
-
-// observe captures every engine's last committed answer and state size.
-func (w *worker) observe() (map[string]core.Result, map[string]core.EngineStats) {
-	results := make(map[string]core.Result)
-	stats := make(map[string]core.EngineStats)
-	for _, e := range w.engines() {
-		if rs, ok := e.sol.(core.ResultSnapshotter); ok {
-			if res, ok := rs.LastResult(); ok {
-				results[e.key] = res
-			}
-		}
-		if sr, ok := e.sol.(core.StatsReporter); ok {
-			stats[e.key] = sr.Stats()
-		}
-	}
-	return results, stats
+// observe captures both engines' last committed answers and state sizes.
+func (w *worker) observe() observation {
+	q1, _ := w.q1.LastResult()
+	q2, _ := w.q2.LastResult()
+	return observation{q1: q1, q2: q2, q1Stats: w.q1.Stats(), q2Stats: w.q2.Stats()}
 }
 
 func (w *worker) run() {
@@ -281,7 +228,7 @@ func (w *worker) run() {
 		resp := response{shard: w.id}
 		resp.err = w.apply(cmd, &resp)
 		if resp.err == nil {
-			resp.results, resp.stats = w.observe()
+			resp.obs = w.observe()
 		}
 		resp.elapsed = time.Since(start)
 		cmd.resp <- resp
@@ -290,54 +237,46 @@ func (w *worker) run() {
 
 func (w *worker) apply(cmd command, resp *response) error {
 	if len(cmd.q1) > 0 {
-		cs := &model.ChangeSet{Changes: cmd.q1}
-		for _, e := range w.q1 {
-			if _, err := e.sol.Update(cs); err != nil {
-				return fmt.Errorf("shard %d: %s update: %w", w.id, e.sol.Name(), err)
-			}
+		if _, err := w.q1.Update(&model.ChangeSet{Changes: cmd.q1}); err != nil {
+			return fmt.Errorf("shard %d: %s update: %w", w.id, w.q1.Name(), err)
 		}
 	}
-	for _, e := range w.q2 {
-		// The ops replay in order. Migrated-in subgraphs are additive, so
-		// they batch up with whatever follows them; a retraction (this shard
-		// donating a group) first applies the adds queued ahead of it. The
-		// last batch carries the routed stream, so a commit without ops is
-		// one plain update.
-		var adds []model.Change
-		for _, op := range cmd.ops {
-			if op.retract == nil {
-				adds = append(adds, op.synthetic...)
-				continue
-			}
-			if err := w.update(e, adds); err != nil {
-				return err
-			}
-			adds = nil
-			start := time.Now()
-			if _, err := e.sol.Retract(op.retract); err != nil {
-				return fmt.Errorf("shard %d: %s retract: %w", w.id, e.sol.Name(), err)
-			}
-			resp.repairDur += time.Since(start)
-			resp.repaired = true
+	// The ops replay in order. Migrated-in subgraphs are additive, so they
+	// batch up with whatever follows them; a retraction (this shard donating
+	// a group) first applies the adds queued ahead of it. The last batch
+	// carries the routed stream, so a commit without ops is one plain
+	// update.
+	var adds []model.Change
+	for _, op := range cmd.ops {
+		if op.retract == nil {
+			adds = append(adds, op.synthetic...)
+			continue
 		}
-		q2 := cmd.q2
-		if len(adds) > 0 {
-			q2 = append(adds, cmd.q2...)
-		}
-		if err := w.update(e, q2); err != nil {
+		if err := w.updateQ2(adds); err != nil {
 			return err
 		}
+		adds = nil
+		start := time.Now()
+		if _, err := w.q2.Retract(op.retract); err != nil {
+			return fmt.Errorf("shard %d: %s retract: %w", w.id, w.q2.Name(), err)
+		}
+		resp.repairDur += time.Since(start)
+		resp.repaired = true
 	}
-	return nil
+	q2 := cmd.q2
+	if len(adds) > 0 {
+		q2 = append(adds, cmd.q2...)
+	}
+	return w.updateQ2(q2)
 }
 
-// update applies one batch of Q2 changes to e; an empty batch is a no-op.
-func (w *worker) update(e engineInst[q2Engine], changes []model.Change) error {
+// updateQ2 applies one batch of Q2 changes; an empty batch is a no-op.
+func (w *worker) updateQ2(changes []model.Change) error {
 	if len(changes) == 0 {
 		return nil
 	}
-	if _, err := e.sol.Update(&model.ChangeSet{Changes: changes}); err != nil {
-		return fmt.Errorf("shard %d: %s update: %w", w.id, e.sol.Name(), err)
+	if _, err := w.q2.Update(&model.ChangeSet{Changes: changes}); err != nil {
+		return fmt.Errorf("shard %d: %s update: %w", w.id, w.q2.Name(), err)
 	}
 	return nil
 }
@@ -387,8 +326,7 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (map[string]string, error) {
 				m.RepairLast = resp.repairDur
 				m.RepairTotal += resp.repairDur
 			}
-			rt.last[resp.shard] = resp.results
-			rt.lastStats[resp.shard] = resp.stats
+			rt.last[resp.shard] = resp.obs
 		}
 		rt.mu.Unlock()
 	}
@@ -399,66 +337,56 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (map[string]string, error) {
 }
 
 // Results merges the per-shard last-committed answers into the global
-// top-3 per engine key. The Q2-family merge includes the router's parked
-// (likeless, zero-scoring) comments as a virtual partition. Must be called
-// from the committing goroutine (it reads router state).
+// top-3 per query, keyed "q1" and "q2". The Q2 merge includes the router's
+// parked (likeless, zero-scoring) comments as a virtual partition. Must be
+// called from the committing goroutine (it reads router state).
 func (rt *Runtime) Results() map[string]string {
 	parked := rt.router.parkedTopK()
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	out := make(map[string]string)
-	merge := func(key string, parked core.Result) {
-		rt.merge.Reset()
-		rt.merge.Merge(parked)
-		for s := 0; s < rt.n; s++ {
-			rt.merge.Merge(rt.last[s][key])
-		}
-		out[key] = rt.merge.Result().String()
+	rt.merge.Reset()
+	for _, o := range rt.last {
+		rt.merge.Merge(o.q1)
 	}
-	for _, e := range q1Lineup {
-		merge(e.key, nil)
+	q1 := rt.merge.Result().String()
+	rt.merge.Reset()
+	rt.merge.Merge(parked)
+	for _, o := range rt.last {
+		rt.merge.Merge(o.q2)
 	}
-	for _, e := range q2Lineup {
-		merge(e.key, parked)
-	}
-	return out
+	return map[string]string{"q1": q1, "q2": rt.merge.Result().String()}
 }
 
-// EngineTotals merges every engine's state sizes across shards.
-// Partitioned dimensions sum; dimensions replicated into every partition —
-// users in Q1 partitions, posts in Q2 partitions — take the maximum, so
-// the totals count distinct entities rather than replicas.
+// EngineTotals merges both engines' state sizes across shards, keyed "q1"
+// and "q2". Partitioned dimensions sum; dimensions replicated into every
+// partition — users in Q1 partitions, posts in Q2 partitions — take the
+// maximum, so the totals count distinct entities rather than replicas.
 func (rt *Runtime) EngineTotals() map[string]core.EngineStats {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	out := make(map[string]core.EngineStats)
-	for s := 0; s < rt.n; s++ {
-		for key, st := range rt.lastStats[s] {
-			t := out[key]
-			t.Comments += st.Comments
-			t.NNZ += st.NNZ
-			t.Pending += st.Pending
-			if isQ1(key) {
-				t.Posts += st.Posts
-				t.Users = max(t.Users, st.Users)
-			} else {
-				t.Posts = max(t.Posts, st.Posts)
-				t.Users += st.Users
-			}
-			out[key] = t
-		}
+	var q1, q2 core.EngineStats
+	for _, o := range rt.last {
+		q1 = addPartition(q1, o.q1Stats, true)
+		q2 = addPartition(q2, o.q2Stats, false)
 	}
-	return out
+	return map[string]core.EngineStats{"q1": q1, "q2": q2}
 }
 
-// isQ1 reports whether key names a Q1-family engine of the lineup.
-func isQ1(key string) bool {
-	for _, e := range q1Lineup {
-		if e.key == key {
-			return true
-		}
+// addPartition folds one shard's state sizes into a total. Comments and
+// stored entries always sum; usersReplicated says whether users (Q1) or
+// posts (Q2) are the dimension every partition replicates.
+func addPartition(t, st core.EngineStats, usersReplicated bool) core.EngineStats {
+	t.Comments += st.Comments
+	t.NNZ += st.NNZ
+	t.Pending += st.Pending
+	if usersReplicated {
+		t.Posts += st.Posts
+		t.Users = max(t.Users, st.Users)
+	} else {
+		t.Posts = max(t.Posts, st.Posts)
+		t.Users += st.Users
 	}
-	return false
+	return t
 }
 
 // ShardStats reports each shard's queue depth and apply latencies. Safe
