@@ -18,6 +18,11 @@ import (
 //	likesT     |users| × |comments|   (Q2 incremental friendship probing)
 //	friends    |users| × |users|      (symmetric)
 //
+// An engine that needs fewer matrices after its initial evaluation sets
+// the others to nil and lists the rest in kept (Q1Incremental keeps only
+// rootPostT); apply, settle and engineStats then walk only the matrices
+// it maintains.
+//
 // Change sets grow the dimensions (|posts′|, |comments′|, |users′|) and add
 // entries as pending tuples; whole-matrix kernels assemble lazily while
 // row-sparse kernels never do, matching SuiteSparse semantics. The graph
@@ -37,6 +42,9 @@ type graph struct {
 	likes     *grb.Matrix[bool]
 	likesT    *grb.Matrix[bool]
 	friends   *grb.Matrix[bool]
+
+	// kept lists the non-nil matrices above, the ones apply maintains.
+	kept []*grb.Matrix[bool]
 }
 
 // delta reports what one change set added, in dense-index terms at the
@@ -50,13 +58,6 @@ type delta struct {
 	// Removals (the paper's future-work workload).
 	removedLikes   [][2]int // (comment, user) index pairs
 	removedFriends [][2]int // (user, user) index pairs
-}
-
-// hasRemovals reports whether the delta contains deletions, which force the
-// incremental engines to re-rank from the full score state (scores are no
-// longer monotone, so the previous-top-3 merge shortcut is unsound).
-func (d *delta) hasRemovals() bool {
-	return len(d.removedLikes) > 0 || len(d.removedFriends) > 0
 }
 
 // loadGraph builds the matrices from an initial snapshot.
@@ -142,7 +143,32 @@ func loadGraph(s *model.Snapshot) (*graph, error) {
 	if g.friends, err = grb.MatrixFromTuples(nu, nu, frRows, frCols, trues(len(frRows)), nil); err != nil {
 		return nil, err
 	}
+	g.kept = []*grb.Matrix[bool]{g.rootPost, g.rootPostT, g.likes, g.likesT, g.friends}
 	return g, nil
+}
+
+// setEdge stores an edge in m, if the graph maintains m.
+func setEdge(m *grb.Matrix[bool], i, j int) error {
+	if m == nil {
+		return nil
+	}
+	return m.SetElement(i, j, true)
+}
+
+// removeEdge deletes an edge from m, if the graph maintains m.
+func removeEdge(m *grb.Matrix[bool], i, j int) error {
+	if m == nil {
+		return nil
+	}
+	return m.RemoveElement(i, j)
+}
+
+// resize grows m, if the graph maintains m.
+func resize(m *grb.Matrix[bool], nrows, ncols int) error {
+	if m == nil {
+		return nil
+	}
+	return m.Resize(nrows, ncols)
 }
 
 // apply ingests one change set: new entities extend the id maps and matrix
@@ -174,20 +200,13 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 		}
 	}
 	np, nc, nu := g.posts.Len(), g.comments.Len(), g.users.Len()
-	if err := g.rootPost.Resize(np, nc); err != nil {
-		return nil, err
-	}
-	if err := g.rootPostT.Resize(nc, np); err != nil {
-		return nil, err
-	}
-	if err := g.likes.Resize(nc, nu); err != nil {
-		return nil, err
-	}
-	if err := g.likesT.Resize(nu, nc); err != nil {
-		return nil, err
-	}
-	if err := g.friends.Resize(nu, nu); err != nil {
-		return nil, err
+	for _, err := range [...]error{
+		resize(g.rootPost, np, nc), resize(g.rootPostT, nc, np),
+		resize(g.likes, nc, nu), resize(g.likesT, nu, nc), resize(g.friends, nu, nu),
+	} {
+		if err != nil {
+			return nil, err
+		}
 	}
 	for _, ch := range cs.Changes {
 		switch ch.Kind {
@@ -197,10 +216,10 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 				return nil, fmt.Errorf("core: comment %d roots at unknown post %d", ch.Comment.ID, ch.Comment.PostID)
 			}
 			ci := g.comments.MustIndex(ch.Comment.ID)
-			if err := g.rootPost.SetElement(pi, ci, true); err != nil {
+			if err := setEdge(g.rootPost, pi, ci); err != nil {
 				return nil, err
 			}
-			if err := g.rootPostT.SetElement(ci, pi, true); err != nil {
+			if err := setEdge(g.rootPostT, ci, pi); err != nil {
 				return nil, err
 			}
 			d.newComments = append(d.newComments, [2]int{pi, ci})
@@ -213,10 +232,10 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 			if !ok {
 				return nil, fmt.Errorf("core: like references unknown user %d", ch.Like.UserID)
 			}
-			if err := g.likes.SetElement(ci, ui, true); err != nil {
+			if err := setEdge(g.likes, ci, ui); err != nil {
 				return nil, err
 			}
-			if err := g.likesT.SetElement(ui, ci, true); err != nil {
+			if err := setEdge(g.likesT, ui, ci); err != nil {
 				return nil, err
 			}
 			d.newLikes = append(d.newLikes, [2]int{ci, ui})
@@ -229,10 +248,10 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 			if !ok {
 				return nil, fmt.Errorf("core: friendship references unknown user %d", ch.Friendship.User2)
 			}
-			if err := g.friends.SetElement(a, b, true); err != nil {
+			if err := setEdge(g.friends, a, b); err != nil {
 				return nil, err
 			}
-			if err := g.friends.SetElement(b, a, true); err != nil {
+			if err := setEdge(g.friends, b, a); err != nil {
 				return nil, err
 			}
 			d.newFriends = append(d.newFriends, [2]int{a, b})
@@ -245,10 +264,10 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 			if !ok {
 				return nil, fmt.Errorf("core: unlike references unknown user %d", ch.Like.UserID)
 			}
-			if err := g.likes.RemoveElement(ci, ui); err != nil {
+			if err := removeEdge(g.likes, ci, ui); err != nil {
 				return nil, err
 			}
-			if err := g.likesT.RemoveElement(ui, ci); err != nil {
+			if err := removeEdge(g.likesT, ui, ci); err != nil {
 				return nil, err
 			}
 			d.removedLikes = append(d.removedLikes, [2]int{ci, ui})
@@ -261,10 +280,10 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 			if !ok {
 				return nil, fmt.Errorf("core: unfriend references unknown user %d", ch.Friendship.User2)
 			}
-			if err := g.friends.RemoveElement(a, b); err != nil {
+			if err := removeEdge(g.friends, a, b); err != nil {
 				return nil, err
 			}
-			if err := g.friends.RemoveElement(b, a); err != nil {
+			if err := removeEdge(g.friends, b, a); err != nil {
 				return nil, err
 			}
 			d.removedFriends = append(d.removedFriends, [2]int{a, b})
@@ -283,17 +302,16 @@ func (g *graph) apply(cs *model.ChangeSet) (*delta, error) {
 // about 1 MB less peak RSS.
 const pendingDivisor = 256
 
-// settle assembles every matrix whose pending tuples have reached the
-// pendingDivisor limit. Called at the end of apply, it keeps
+// settle assembles every maintained matrix whose pending tuples have
+// reached the pendingDivisor limit. Called at the end of apply, it keeps
 // whole-graph assembly off the per-update path except when it is due.
 func (g *graph) settle() {
-	for _, m := range g.matrices() {
+	for _, m := range g.kept {
 		if m.NPending()*pendingDivisor >= m.NRows()+m.NVals() {
 			m.Wait()
 		}
 	}
 }
 
-func (g *graph) matrices() [5]*grb.Matrix[bool] {
-	return [5]*grb.Matrix[bool]{g.rootPost, g.rootPostT, g.likes, g.likesT, g.friends}
-}
+// matrices returns the matrices the graph maintains.
+func (g *graph) matrices() []*grb.Matrix[bool] { return g.kept }

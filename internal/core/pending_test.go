@@ -11,7 +11,7 @@ import (
 // matrixEngine is an engine whose state is the shared matrix graph.
 type matrixEngine interface {
 	Solution
-	StatsReporter
+	Stats() EngineStats
 	graph() *graph
 }
 
@@ -46,7 +46,7 @@ func TestStatsLeavesPendingTuples(t *testing.T) {
 				t.Fatalf("%s update %d: %v", name, k, err)
 			}
 			ms := eng.graph().matrices()
-			var before [len(ms)]int
+			before := make([]int, len(ms))
 			total := 0
 			for m, mat := range ms {
 				before[m] = mat.NPending()
@@ -81,7 +81,8 @@ func TestStatsLeavesPendingTuples(t *testing.T) {
 }
 
 // TestPendingStaysBelowAssemblyLimit runs a long stream of single-like
-// updates and checks after each one that every matrix's pending tuples
+// updates, every fourth also adding a comment (so the one matrix the
+// incremental Q1 engine keeps, RootPostᵀ, receives tuples too), and checks after each one that every matrix's pending tuples
 // stay under the settle limit, while tuples do accumulate between
 // assemblies (an engine that assembled on every update would also stay
 // under the limit, at O(nnz) per update).
@@ -102,7 +103,14 @@ func TestPendingStaysBelowAssemblyLimit(t *testing.T) {
 			continue
 		}
 		liked[l] = struct{}{}
-		stream = append(stream, model.ChangeSet{Changes: []model.Change{{Kind: model.KindAddLike, Like: l}}})
+		cs := model.ChangeSet{Changes: []model.Change{{Kind: model.KindAddLike, Like: l}}}
+		if len(stream)%4 == 0 {
+			post := d.Snapshot.Posts[rng.Intn(len(d.Snapshot.Posts))].ID
+			id := model.ID(1<<40 + len(stream))
+			cs.Changes = append(cs.Changes, model.Change{Kind: model.KindAddComment,
+				Comment: model.Comment{ID: id, Timestamp: int64(len(stream)), ParentID: post, PostID: post}})
+		}
+		stream = append(stream, cs)
 	}
 	for _, eng := range []matrixEngine{NewQ1Incremental(), NewQ2Incremental()} {
 		if err := eng.Load(d.Snapshot); err != nil {

@@ -100,16 +100,19 @@ func (s *Q1Batch) evaluate() (Result, error) {
 //	                 likesCount⁺ᵀ ⊕.⊗ RootPost′ᵀ so only changed comments'
 //	                 rows are touched)
 //	scores⁺        ← repliesScores⁺ ⊕ likesScore⁺
-//	scores′        ← scores ⊕ scores⁺
-//	Δscores⟨scores⁺⟩ ← scores′
+//	scores         ⊕= scores⁺                     (in place)
 //
-// The top-3 answer merges the previous top-3 with the changed and new
-// posts; in the case's insert-only workload scores grow monotonically, so
-// unchanged posts can never climb past unchanged higher-ranked ones.
+// Every step costs and allocates by the change: ΔRootPost is hypersparse,
+// the reduction and VxM accumulate sparsely, and scores is a full vector
+// accumulated in place (GrB_assign with an accumulator). After Initial
+// the engine keeps only RootPostᵀ, the one matrix Alg. 2 reads. Each post
+// whose score changed, and each new post, is re-ranked in the engine's
+// Ranking, so removals (scores that drop) cost the same as inserts.
 type Q1Incremental struct {
-	g      *graph
-	scores *grb.Vector[int64]
-	prev   Result
+	g       *graph
+	scores  *grb.Vector[int64] // full: every post stores its score
+	ranking Ranking
+	prev    Result
 }
 
 // NewQ1Incremental returns the incremental Q1 engine ("GraphBLAS
@@ -132,8 +135,9 @@ func (s *Q1Incremental) Load(snap *model.Snapshot) error {
 	return nil
 }
 
-// Initial implements Solution: the first evaluation is a full one; it also
-// seeds the maintained score vector.
+// Initial implements Solution: the first evaluation is a full one (Alg. 1);
+// it seeds the maintained score vector and the ranking, then drops the
+// matrices only Alg. 1 reads.
 func (s *Q1Incremental) Initial() (Result, error) {
 	likesCount, err := likesPerComment(s.g.likes)
 	if err != nil {
@@ -143,9 +147,26 @@ func (s *Q1Incremental) Initial() (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.scores = scores
-	s.prev = q1TopK(s.g, scores)
+	dense := make([]int64, s.g.posts.Len())
+	scores.Iterate(func(i grb.Index, x int64) bool {
+		dense[i] = x
+		return true
+	})
+	s.scores = grb.VectorFromSlice(dense)
+	for i := range dense {
+		s.rank(i)
+	}
+	g := s.g
+	g.rootPost, g.likes, g.likesT, g.friends = nil, nil, nil, nil
+	g.kept = []*grb.Matrix[bool]{g.rootPostT}
+	s.prev = s.ranking.Top(TopK)
 	return s.prev, nil
+}
+
+// rank re-ranks post i from its maintained score.
+func (s *Q1Incremental) rank(i grb.Index) {
+	score, _, _ := s.scores.GetElement(i)
+	s.ranking.Set(i, Entry{ID: s.g.posts.IDOf(i), Score: score, Timestamp: s.g.postTS[i]})
 }
 
 // Update implements Solution with the incremental maintenance of Alg. 2.
@@ -156,8 +177,14 @@ func (s *Q1Incremental) Update(cs *model.ChangeSet) (Result, error) {
 	}
 	np := s.g.posts.Len()
 	nc := s.g.comments.Len()
-	if err := s.scores.Resize(np); err != nil {
-		return nil, err
+	// New posts enter the full score vector at 0.
+	if old := s.scores.Size(); np > old {
+		if err := s.scores.Resize(np); err != nil {
+			return nil, err
+		}
+		if err := grb.AssignVScalar(s.scores, grb.Range(old, np), 0, nil); err != nil {
+			return nil, err
+		}
 	}
 
 	// repliesScores⁺ = 10 × [⊕_j ΔRootPost(:,j)]: ΔRootPost has one entry
@@ -170,7 +197,7 @@ func (s *Q1Incremental) Update(cs *model.ChangeSet) (Result, error) {
 		deltaCols = append(deltaCols, pc[1])
 		deltaVals = append(deltaVals, true)
 	}
-	deltaRP, err := grb.MatrixFromTuples(np, nc, deltaRows, deltaCols, deltaVals, nil)
+	deltaRP, err := grb.HyperFromTuples(np, nc, deltaRows, deltaCols, deltaVals, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -209,46 +236,19 @@ func (s *Q1Incremental) Update(cs *model.ChangeSet) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	scoresNew, err := grb.EWiseAddV(grb.Plus[int64], s.scores, scoresPlus)
-	if err != nil {
+	if err := grb.AccumV(s.scores, scoresPlus, grb.Plus[int64]); err != nil {
 		return nil, err
 	}
-	deltaScores, err := grb.MaskV(scoresNew, scoresPlus, false)
-	if err != nil {
-		return nil, err
-	}
-	s.scores = scoresNew
 
-	// Under removals scores are not monotone, so an unchanged post may
-	// climb into the top-3; the merge shortcut is unsound and we re-rank
-	// from the full maintained score vector (score maintenance above stays
-	// incremental — only the ranking pass is O(|posts|)).
-	if d.hasRemovals() {
-		s.prev = q1TopK(s.g, s.scores)
-		return s.prev, nil
-	}
-
-	// Merge the previous top-3 with the changed and new posts.
-	t := NewTopK(TopK)
-	seen := make(map[grb.Index]struct{}, 2*TopK+deltaScores.NVals())
-	add := func(i grb.Index) {
-		if _, dup := seen[i]; dup {
-			return
-		}
-		seen[i] = struct{}{}
-		score, _, _ := s.scores.GetElement(i)
-		t.Consider(Entry{ID: s.g.posts.IDOf(i), Score: score, Timestamp: s.g.postTS[i]})
-	}
-	for _, e := range s.prev {
-		add(s.g.posts.MustIndex(e.ID))
-	}
-	deltaScores.Iterate(func(i grb.Index, _ int64) bool {
-		add(i)
+	// Re-rank the posts whose score changed (the structure of scores⁺)
+	// and the new ones.
+	scoresPlus.Iterate(func(i grb.Index, _ int64) bool {
+		s.rank(i)
 		return true
 	})
 	for _, pi := range d.newPosts {
-		add(pi)
+		s.rank(pi)
 	}
-	s.prev = t.Result()
+	s.prev = s.ranking.Top(TopK)
 	return s.prev, nil
 }

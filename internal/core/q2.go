@@ -128,13 +128,13 @@ func (s *Q2Batch) evaluate() (Result, error) {
 //     followed by GxB_select(AC = 2); see affectedByFriendshipsIncidence
 //     for the literal formulation, kept for the ablation benchmark).
 //
-// Affected comments are re-scored with the batch kernel and merged into the
-// maintained score vector; the top-3 merges the previous answer with the
-// changed comments.
+// Affected comments are re-scored with the batch kernel into the
+// maintained score vector and re-ranked in the engine's Ranking.
 type Q2Incremental struct {
-	g      *graph
-	scores []int64 // dense by comment index
-	prev   Result
+	g       *graph
+	scores  []int64 // dense by comment index
+	ranking Ranking
+	prev    Result
 
 	// useIncidence switches affected-comment detection to the literal
 	// incidence-matrix formulation of the paper (assembles Likes′ᵀ).
@@ -184,7 +184,10 @@ func (s *Q2Incremental) Initial() (Result, error) {
 	if err := q2ScoreAll(s.g.likes, s.g.friends, all, s.scores); err != nil {
 		return nil, err
 	}
-	s.prev = q2TopK(s.g, s.scores)
+	for ci := range all {
+		s.rank(ci)
+	}
+	s.prev = s.ranking.Top(TopK)
 	return s.prev, nil
 }
 
@@ -236,31 +239,16 @@ func (s *Q2Incremental) Update(cs *model.ChangeSet) (Result, error) {
 		return nil, err
 	}
 
-	// Removals break score monotonicity; re-rank from the full maintained
-	// score state (see Q1Incremental for the argument).
-	if d.hasRemovals() {
-		s.prev = q2TopK(s.g, s.scores)
-		return s.prev, nil
-	}
-
-	// Merge previous top-3 with the changed comments.
-	t := NewTopK(TopK)
-	seen := make(map[int]struct{}, len(idxs)+TopK)
-	add := func(ci int) {
-		if _, dup := seen[ci]; dup {
-			return
-		}
-		seen[ci] = struct{}{}
-		t.Consider(Entry{ID: s.g.comments.IDOf(ci), Score: s.scores[ci], Timestamp: s.g.commentTS[ci]})
-	}
-	for _, e := range s.prev {
-		add(s.g.comments.MustIndex(e.ID))
-	}
 	for _, ci := range idxs {
-		add(ci)
+		s.rank(ci)
 	}
-	s.prev = t.Result()
+	s.prev = s.ranking.Top(TopK)
 	return s.prev, nil
+}
+
+// rank re-ranks comment ci from its maintained score.
+func (s *Q2Incremental) rank(ci int) {
+	s.ranking.Set(ci, Entry{ID: s.g.comments.IDOf(ci), Score: s.scores[ci], Timestamp: s.g.commentTS[ci]})
 }
 
 // affectedByFriendshipsRowMerge finds, for each new friendship (u1, u2),

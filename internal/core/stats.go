@@ -4,22 +4,16 @@ package core
 // zero-cost accessor for the last committed answer of the incremental
 // engines, and size statistics of the maintained engine state.
 
-// ResultSnapshotter is implemented by engines that retain their last
-// committed answer. LastResult returns a copy of that answer without
+// LastResult returns a copy of the engine's last committed answer without
 // recomputation — the accessor a serving layer uses to publish a
-// snapshot-isolated result after each committed update, and ok=false
+// snapshot-isolated result after each committed update — and ok=false
 // before Initial has run.
-type ResultSnapshotter interface {
-	LastResult() (Result, bool)
-}
-
-// LastResult implements ResultSnapshotter.
 func (s *Q1Incremental) LastResult() (Result, bool) { return lastResult(s.prev) }
 
-// LastResult implements ResultSnapshotter.
+// LastResult is Q1Incremental.LastResult for this engine.
 func (s *Q2Incremental) LastResult() (Result, bool) { return lastResult(s.prev) }
 
-// LastResult implements ResultSnapshotter.
+// LastResult is Q1Incremental.LastResult for this engine.
 func (s *Q2IncrementalCC) LastResult() (Result, bool) { return lastResult(s.prev) }
 
 // lastResult copies a retained answer; a nil prev means Initial has not run
@@ -47,14 +41,11 @@ type EngineStats struct {
 	Pending int `json:"pending"`
 }
 
-// StatsReporter is implemented by engines that can report their state size.
-type StatsReporter interface {
-	Stats() EngineStats
-}
-
-// engineStats sizes the matrix state shared by the GraphBLAS engines in
-// O(1): NVals counts pending tuples without assembling them, so reading the
-// stats after every commit leaves the engine state untouched.
+// engineStats sizes the matrices a GraphBLAS engine maintains in O(1):
+// NVals counts pending tuples without assembling them, so reading the
+// stats after every commit leaves the engine state untouched. After
+// Initial, Q1Incremental maintains only RootPostᵀ, so its NNZ counts that
+// one matrix.
 func (g *graph) engineStats() EngineStats {
 	if g == nil {
 		return EngineStats{}
@@ -71,20 +62,21 @@ func (g *graph) engineStats() EngineStats {
 	return st
 }
 
-// Stats implements StatsReporter.
+// Stats sizes the state the engine maintains between updates.
 func (s *Q1Batch) Stats() EngineStats { return s.g.engineStats() }
 
-// Stats implements StatsReporter.
+// Stats sizes the state the engine maintains between updates.
 func (s *Q1Incremental) Stats() EngineStats { return s.g.engineStats() }
 
-// Stats implements StatsReporter.
+// Stats sizes the state the engine maintains between updates.
 func (s *Q2Batch) Stats() EngineStats { return s.g.engineStats() }
 
-// Stats implements StatsReporter.
+// Stats sizes the state the engine maintains between updates.
 func (s *Q2Incremental) Stats() EngineStats { return s.g.engineStats() }
 
-// Stats implements StatsReporter. The CC engine maintains adjacency lists
-// and per-comment DSU forests instead of matrices; NNZ counts the directed
+// Stats sizes the state the engine maintains between updates. The CC
+// engine maintains adjacency lists and per-comment liker slices instead of
+// matrices; NNZ counts the directed
 // friend edges and the user→comment like edges it stores, from counters the
 // event handlers maintain, so Stats is O(1). Retired entities are excluded,
 // matching a reloaded donor's live counts.

@@ -12,12 +12,13 @@ import (
 // semantics so a caller cannot corrupt the engine's state.
 func TestLastResultContract(t *testing.T) {
 	d := model.ExampleDataset()
-	engines := []Solution{NewQ1Incremental(), NewQ2Incremental(), NewQ2IncrementalCC()}
+	type snapshotter interface {
+		Solution
+		LastResult() (Result, bool)
+	}
+	engines := []snapshotter{NewQ1Incremental(), NewQ2Incremental(), NewQ2IncrementalCC()}
 	for _, sol := range engines {
-		rs, ok := sol.(ResultSnapshotter)
-		if !ok {
-			t.Fatalf("%s: does not implement ResultSnapshotter", sol.Name())
-		}
+		rs := sol
 		if _, ok := rs.LastResult(); ok {
 			t.Errorf("%s %s: LastResult ok before Initial", sol.Name(), sol.Query())
 		}
@@ -60,14 +61,15 @@ func TestLastResultContract(t *testing.T) {
 // after loading, and that sizes grow with updates.
 func TestEngineStats(t *testing.T) {
 	d := model.ExampleDataset()
-	engines := []Solution{
+	type reporter interface {
+		Solution
+		Stats() EngineStats
+	}
+	engines := []reporter{
 		NewQ1Batch(), NewQ1Incremental(), NewQ2Batch(), NewQ2Incremental(), NewQ2IncrementalCC(),
 	}
 	for _, sol := range engines {
-		sr, ok := sol.(StatsReporter)
-		if !ok {
-			t.Fatalf("%s: does not implement StatsReporter", sol.Name())
-		}
+		sr := sol
 		if err := sol.Load(d.Snapshot); err != nil {
 			t.Fatalf("%s load: %v", sol.Name(), err)
 		}

@@ -42,6 +42,32 @@ func AssignV[T any](w *Vector[T], I []Index, u *Vector[T], accum func(T, T) T) e
 	return nil
 }
 
+// AccumV accumulates u into w in place: w(i) = accum(w(i), u(i)) for every
+// stored u(i), and w(i) = u(i) where w has no element (GrB_Vector_assign
+// with GrB_ALL and an accumulator, w ⊕= u). On a full w (every position
+// stored) each position is addressed directly, so the cost is O(nvals(u))
+// whatever w's size; otherwise each element is found by binary search and
+// an absent one is inserted.
+func AccumV[T any](w, u *Vector[T], accum func(T, T) T) error {
+	if w.n != u.n {
+		return dimErrf("AccumV: %d vs %d", w.n, u.n)
+	}
+	if w.full() {
+		for p, i := range u.ind {
+			w.val[i] = accum(w.val[i], u.val[p])
+		}
+		return nil
+	}
+	for p, i := range u.ind {
+		if q, ok := w.find(i); ok {
+			w.val[q] = accum(w.val[q], u.val[p])
+		} else if err := w.SetElement(i, u.val[p]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // AssignVScalar writes the scalar x at every position listed in I,
 // accumulating with accum when non-nil (GrB_Vector_assign_Scalar).
 func AssignVScalar[T any](w *Vector[T], I []Index, x T, accum func(T, T) T) error {

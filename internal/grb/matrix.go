@@ -10,11 +10,21 @@ import "sort"
 // entries of only the touched rows on the fly, so small incremental updates
 // never pay a full O(nnz) rebuild. The stored-element count is kept current
 // as tuples are buffered, so NVals never assembles either.
+//
+// A matrix built by HyperFromTuples is hypersparse (SuiteSparse's
+// GxB_HYPERSPARSE): it lists its non-empty rows, so its storage and the
+// kernels that read it row by row (ReduceRows, VxM, ForRow) cost O(nnz),
+// not O(nrows). Any other kernel, and any mutation, first converts it to
+// plain CSR.
 type Matrix[T any] struct {
 	nrows, ncols int
-	rowPtr       []int
-	colInd       []Index
-	val          []T
+	// rowPtr has nrows+1 offsets, or len(hyper)+1 when hyper is set.
+	rowPtr []int
+	colInd []Index
+	val    []T
+	// hyper lists the non-empty rows in ascending order, nil unless the
+	// matrix is hypersparse; row hyper[k] spans rowPtr[k]..rowPtr[k+1].
+	hyper []Index
 
 	pending map[Index][]matEntry[T] // row → appended entries, insertion order
 	npend   int
@@ -34,24 +44,65 @@ func NewMatrix[T any](nrows, ncols int) *Matrix[T] {
 	if nrows < 0 || ncols < 0 {
 		panic(invalidErrf("NewMatrix: negative shape %d×%d", nrows, ncols))
 	}
-	return &Matrix[T]{nrows: nrows, ncols: ncols, rowPtr: make([]int, nrows+1)}
+	return &Matrix[T]{nrows: nrows, ncols: ncols, rowPtr: newRowPtr(nrows)}
 }
 
 // MatrixFromTuples builds a matrix from (row, col, value) triples
 // (GrB_build). Duplicates are combined with dup; nil dup keeps the last.
 func MatrixFromTuples[T any](nrows, ncols int, rows, cols []Index, vals []T, dup func(T, T) T) (*Matrix[T], error) {
-	if len(rows) != len(cols) || len(rows) != len(vals) {
-		return nil, invalidErrf("MatrixFromTuples: tuple slices of unequal length %d/%d/%d",
-			len(rows), len(cols), len(vals))
+	a, tupleRows, err := buildSorted("MatrixFromTuples", nrows, ncols, rows, cols, vals, dup)
+	if err != nil {
+		return nil, err
 	}
-	a := NewMatrix[T](nrows, ncols)
+	a.rowPtr = newRowPtr(nrows)
+	for _, i := range tupleRows {
+		a.rowPtr[i+1]++
+	}
+	for i := 0; i < nrows; i++ {
+		a.rowPtr[i+1] += a.rowPtr[i]
+	}
+	return a, nil
+}
+
+// HyperFromTuples is MatrixFromTuples building a hypersparse matrix: its
+// storage and construction cost follow the number of tuples, not nrows, so
+// a delta matrix of a few entries over a large dimension stays small.
+func HyperFromTuples[T any](nrows, ncols int, rows, cols []Index, vals []T, dup func(T, T) T) (*Matrix[T], error) {
+	a, tupleRows, err := buildSorted("HyperFromTuples", nrows, ncols, rows, cols, vals, dup)
+	if err != nil {
+		return nil, err
+	}
+	a.hyper = make([]Index, 0, len(tupleRows))
+	a.rowPtr = make([]int, 1, len(tupleRows)+1)
+	for p, i := range tupleRows {
+		if k := len(a.hyper); k == 0 || a.hyper[k-1] != i {
+			a.hyper = append(a.hyper, i)
+			a.rowPtr = append(a.rowPtr, p)
+		}
+		a.rowPtr[len(a.rowPtr)-1] = p + 1
+	}
+	return a, nil
+}
+
+// buildSorted validates the tuples and stores them in (row, col) order,
+// combining duplicates, in a new matrix whose row pointer is left for the
+// caller to build. It returns the row of every stored tuple.
+func buildSorted[T any](op string, nrows, ncols int, rows, cols []Index, vals []T, dup func(T, T) T) (*Matrix[T], []Index, error) {
+	if len(rows) != len(cols) || len(rows) != len(vals) {
+		return nil, nil, invalidErrf("%s: tuple slices of unequal length %d/%d/%d",
+			op, len(rows), len(cols), len(vals))
+	}
+	if nrows < 0 || ncols < 0 {
+		panic(invalidErrf("%s: negative shape %d×%d", op, nrows, ncols))
+	}
+	a := &Matrix[T]{nrows: nrows, ncols: ncols}
 	if len(rows) == 0 {
-		return a, nil
+		return a, nil, nil
 	}
 	for k := range rows {
 		if rows[k] < 0 || rows[k] >= nrows || cols[k] < 0 || cols[k] >= ncols {
-			return nil, boundsErrf("MatrixFromTuples: entry (%d,%d) outside %d×%d",
-				rows[k], cols[k], nrows, ncols)
+			return nil, nil, boundsErrf("%s: entry (%d,%d) outside %d×%d",
+				op, rows[k], cols[k], nrows, ncols)
 		}
 	}
 	perm := make([]int, len(rows))
@@ -67,7 +118,7 @@ func MatrixFromTuples[T any](nrows, ncols int, rows, cols []Index, vals []T, dup
 	})
 	a.colInd = make([]Index, 0, len(rows))
 	a.val = make([]T, 0, len(rows))
-	counts := make([]int, nrows)
+	tupleRows := make([]Index, 0, len(rows))
 	prevI, prevJ := -1, -1
 	for _, p := range perm {
 		i, j, x := rows[p], cols[p], vals[p]
@@ -82,13 +133,45 @@ func MatrixFromTuples[T any](nrows, ncols int, rows, cols []Index, vals []T, dup
 		}
 		a.colInd = append(a.colInd, j)
 		a.val = append(a.val, x)
-		counts[i]++
+		tupleRows = append(tupleRows, i)
 		prevI, prevJ = i, j
 	}
-	for i := 0; i < nrows; i++ {
-		a.rowPtr[i+1] = a.rowPtr[i] + counts[i]
+	return a, tupleRows, nil
+}
+
+// rowRange returns the storage span of row i's assembled entries.
+func (a *Matrix[T]) rowRange(i Index) (lo, hi int) {
+	if a.hyper == nil {
+		return a.rowPtr[i], a.rowPtr[i+1]
 	}
-	return a, nil
+	k := sort.SearchInts(a.hyper, i)
+	if k < len(a.hyper) && a.hyper[k] == i {
+		return a.rowPtr[k], a.rowPtr[k+1]
+	}
+	return 0, 0
+}
+
+// unhyper converts a hypersparse matrix to plain CSR, leaving spare
+// capacity in the row pointer for growth.
+func (a *Matrix[T]) unhyper() {
+	if a.hyper == nil {
+		return
+	}
+	ptr := newRowPtr(a.nrows)
+	for k, i := range a.hyper {
+		ptr[i+1] = a.rowPtr[k+1] - a.rowPtr[k]
+	}
+	for i := 0; i < a.nrows; i++ {
+		ptr[i+1] += ptr[i]
+	}
+	a.rowPtr, a.hyper = ptr, nil
+}
+
+// newRowPtr returns a zeroed row pointer for nrows rows with about 1/8
+// spare capacity, so the row growths that follow an assembly append in
+// place instead of copying the whole pointer.
+func newRowPtr(nrows int) []int {
+	return make([]int, nrows+1, nrows+1+nrows/8+8)
 }
 
 // NRows reports the number of rows.
@@ -138,6 +221,7 @@ func (a *Matrix[T]) RemoveElement(i, j Index) error {
 
 // push buffers one pending tuple of row i.
 func (a *Matrix[T]) push(i Index, e matEntry[T]) {
+	a.unhyper()
 	if a.pending == nil {
 		a.pending = make(map[Index][]matEntry[T])
 	}
@@ -169,7 +253,7 @@ func (a *Matrix[T]) get(i, j Index) (T, bool) {
 			}
 		}
 	}
-	lo, hi := a.rowPtr[i], a.rowPtr[i+1]
+	lo, hi := a.rowRange(i)
 	p := lo + sort.SearchInts(a.colInd[lo:hi], j)
 	if p < hi && a.colInd[p] == j {
 		return a.val[p], true
@@ -177,12 +261,14 @@ func (a *Matrix[T]) get(i, j Index) (T, bool) {
 	return zero, false
 }
 
-// Wait assembles all pending tuples into the CSR arrays (GrB_wait). It is a
-// no-op when nothing is pending. Cost: O(nnz + p log p) for p pending
-// tuples, a single merge pass: the touched rows are visited in sorted
-// order, and each run of untouched rows between them moves with one copy
-// and a rowPtr shift.
+// Wait assembles all pending tuples into the CSR arrays (GrB_wait), and
+// converts a hypersparse matrix to CSR. It is a no-op on a CSR matrix with
+// nothing pending. Cost: O(nnz + p log p) for p pending tuples, a single
+// merge pass: the touched rows are visited in sorted order, and each run
+// of untouched rows between them moves with one copy and a rowPtr shift.
+// The new row pointer keeps spare capacity (see newRowPtr).
 func (a *Matrix[T]) Wait() {
+	a.unhyper()
 	if a.npend == 0 {
 		return
 	}
@@ -194,7 +280,7 @@ func (a *Matrix[T]) Wait() {
 	nnz := a.NVals()
 	newCol := make([]Index, 0, nnz)
 	newVal := make([]T, 0, nnz)
-	newPtr := make([]int, a.nrows+1)
+	newPtr := newRowPtr(a.nrows)
 	// copyRun moves rows [from, to) unchanged, shifting their offsets.
 	copyRun := func(from, to int) {
 		lo, hi := a.rowPtr[from], a.rowPtr[to]
@@ -271,10 +357,10 @@ func mergePendingRow[T any](ents []matEntry[T], out []matEntry[T]) []matEntry[T]
 // rowNNZ reports the assembled number of entries in row i (pending entries
 // of that row included, deduplicated).
 func (a *Matrix[T]) rowNNZ(i Index) int {
-	n := a.rowPtr[i+1] - a.rowPtr[i]
+	lo, hi := a.rowRange(i)
+	n := hi - lo
 	if ents, ok := a.pending[i]; ok {
 		merged := mergePendingRow(ents, nil)
-		lo, hi := a.rowPtr[i], a.rowPtr[i+1]
 		for _, e := range merged {
 			p := lo + sort.SearchInts(a.colInd[lo:hi], e.col)
 			inBase := p < hi && a.colInd[p] == e.col
@@ -292,7 +378,7 @@ func (a *Matrix[T]) rowNNZ(i Index) int {
 // forRow calls f(col, val) for every entry of row i in column order,
 // merging pending entries without assembling the whole matrix.
 func (a *Matrix[T]) forRow(i Index, f func(j Index, x T)) {
-	lo, hi := a.rowPtr[i], a.rowPtr[i+1]
+	lo, hi := a.rowRange(i)
 	ents, ok := a.pending[i]
 	if !ok {
 		for p := lo; p < hi; p++ {
@@ -377,6 +463,7 @@ func (a *Matrix[T]) Resize(nrows, ncols int) error {
 	if nrows < 0 || ncols < 0 {
 		return invalidErrf("Resize: negative shape %d×%d", nrows, ncols)
 	}
+	a.unhyper()
 	if nrows >= a.nrows && ncols >= a.ncols {
 		// Pure growth: extend rowPtr, keep storage.
 		for i := a.nrows; i < nrows; i++ {
@@ -399,7 +486,7 @@ func (a *Matrix[T]) Resize(nrows, ncols int) error {
 	}
 	if ncols < a.ncols {
 		w := 0
-		newPtr := make([]int, a.nrows+1)
+		newPtr := newRowPtr(a.nrows)
 		for i := 0; i < a.nrows; i++ {
 			newPtr[i] = w
 			for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
@@ -421,7 +508,8 @@ func (a *Matrix[T]) Resize(nrows, ncols int) error {
 
 // Clear removes all stored elements, keeping the shape.
 func (a *Matrix[T]) Clear() {
-	a.rowPtr = make([]int, a.nrows+1)
+	a.rowPtr = newRowPtr(a.nrows)
+	a.hyper = nil
 	a.colInd = nil
 	a.val = nil
 	a.pending = nil

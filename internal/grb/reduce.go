@@ -14,7 +14,26 @@ func One[A any, C Number](_ A) C { return 1 }
 // ReduceRows reduces each matrix row to a scalar, producing a sparse vector
 // with entries only for non-empty rows: w_i = ⊕_j cast(A_ij).
 // (GrB_Matrix_reduce_Monoid to a vector; row-wise, as in the C API default.)
+// A hypersparse matrix is reduced over its row list in O(nnz), so the
+// result costs nothing by nrows; a CSR matrix is reduced in parallel
+// through dense scratch.
 func ReduceRows[A, C any](m Monoid[C], cast func(A) C, a *Matrix[A]) (*Vector[C], error) {
+	reduceRow := func(lo, hi int) C {
+		acc := m.Identity
+		for p := lo; p < hi; p++ {
+			acc = m.Op(acc, cast(a.val[p]))
+		}
+		return acc
+	}
+	w := NewVector[C](a.nrows)
+	if a.hyper != nil {
+		w.ind = make([]Index, 0, len(a.hyper))
+		w.val = make([]C, 0, len(a.hyper))
+		for k, i := range a.hyper {
+			w.setSorted(i, reduceRow(a.rowPtr[k], a.rowPtr[k+1]))
+		}
+		return w, nil
+	}
 	a.Wait()
 	val := make([]C, a.nrows)
 	hit := make([]bool, a.nrows)
@@ -23,15 +42,10 @@ func ReduceRows[A, C any](m Monoid[C], cast func(A) C, a *Matrix[A]) (*Vector[C]
 			if a.rowPtr[i] == a.rowPtr[i+1] {
 				continue
 			}
-			acc := m.Identity
-			for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
-				acc = m.Op(acc, cast(a.val[p]))
-			}
-			val[i] = acc
+			val[i] = reduceRow(a.rowPtr[i], a.rowPtr[i+1])
 			hit[i] = true
 		}
 	})
-	w := NewVector[C](a.nrows)
 	for i := 0; i < a.nrows; i++ {
 		if hit[i] {
 			w.setSorted(i, val[i])

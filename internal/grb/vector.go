@@ -68,6 +68,12 @@ func (v *Vector[T]) find(i Index) (int, bool) {
 	return p, p < len(v.ind) && v.ind[p] == i
 }
 
+// full reports whether every position stores an element (SuiteSparse's
+// full format). A full vector's element i sits at storage position i, so
+// in-place kernels (AccumV) address it directly; growing it with Resize
+// leaves it sparse until the new positions are assigned.
+func (v *Vector[T]) full() bool { return len(v.ind) == v.n }
+
 // GetElement returns the stored value at position i, and whether one exists.
 func (v *Vector[T]) GetElement(i Index) (T, bool, error) {
 	var zero T

@@ -3,7 +3,9 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -166,6 +168,48 @@ func BenchmarkCommitSteady(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkCommitReplay replays the servebench update stream (datagen,
+// RemovalFraction 0.2, 2000 change sets, one set per Commit) on a 2-shard
+// runtime at sf 16, 64 and 128, and reports the cost per set: ns/set and
+// B/set (allocated bytes). Runtime start-up is excluded. Per-set cost
+// should follow the sets, not the graph.
+func BenchmarkCommitReplay(b *testing.B) {
+	const sets = 2000
+	for _, sf := range []int{16, 64, 128} {
+		b.Run(fmt.Sprintf("sf%d", sf), func(b *testing.B) {
+			d := datagen.Generate(datagen.Config{ScaleFactor: sf, Seed: 1, ChangeSets: sets, RemovalFraction: 0.2})
+			var ns, bytes float64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				rt, err := New(2, d.Snapshot.Clone())
+				if err != nil {
+					b.Fatal(err)
+				}
+				stream := make([]model.ChangeSet, len(d.ChangeSets))
+				for k := range d.ChangeSets {
+					stream[k].Changes = append([]model.Change(nil), d.ChangeSets[k].Changes...)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				start := time.Now()
+				b.StartTimer()
+				for k := range stream {
+					if _, err := rt.Commit(&stream[k]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				ns += float64(time.Since(start).Nanoseconds())
+				runtime.ReadMemStats(&after)
+				bytes += float64(after.TotalAlloc - before.TotalAlloc)
+				rt.Close()
+			}
+			b.ReportMetric(ns/float64(b.N*sets), "ns/set")
+			b.ReportMetric(bytes/float64(b.N*sets), "B/set")
 		})
 	}
 }

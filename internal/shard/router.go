@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -127,10 +126,9 @@ type router struct {
 	// they score exactly 0, are ranked by parkedTopK as a virtual
 	// partition, and materialize onto their first liker's shard.
 	parked map[model.ID]model.Comment
-	// parkedRank orders the parked comments best first, so commits rank
-	// them in O(log parked). Unparked entries are dropped lazily, when
-	// they surface at the top or when they outnumber the live ones.
-	parkedRank parkedHeap
+	// parkedRank ranks the parked comments, keyed by union-find node, so
+	// parking, unparking and ranking each cost O(log parked).
+	parkedRank core.Ranking
 
 	// Union-find over users ∪ comments with per-root group state.
 	node         map[nodeKey]int
@@ -198,7 +196,7 @@ func newRouter(n int, snap *model.Snapshot) (*router, error) {
 			continue
 		}
 		if len(r.members[i]) == 1 && r.keys[i].kind == nodeComment {
-			r.park(commentByID[r.keys[i].id])
+			r.park(i, commentByID[r.keys[i].id])
 			continue
 		}
 		roots = append(roots, i)
@@ -515,7 +513,11 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 			// Q2: park the likeless comment at the router; it materializes
 			// on a shard at its first like (keeping first likes
 			// migration-free — no singleton group to move).
-			r.park(ch.Comment)
+			ni, err := r.lookup(commentKey(ch.Comment.ID))
+			if err != nil {
+				return nil, err
+			}
+			r.park(ni, ch.Comment)
 			r.commentRoot[ch.Comment.ID] = ch.Comment.PostID
 			ps, err := r.q1ShardOfComment(ch.Comment.ID)
 			if err != nil {
@@ -534,7 +536,7 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 				// First like: the comment joins its liker's group's shard.
 				// (Pass A already unioned them, and the parked side has no
 				// materialized entities, so no migration was triggered.)
-				r.unpark(c.ID)
+				r.unpark(ni, c.ID)
 				st.comments[c.ID] = c
 				r.materialized[ni] = true
 				r.matCount[root]++
@@ -614,63 +616,22 @@ func (r *router) q1Snapshot(snap *model.Snapshot, s int) *model.Snapshot {
 	return out
 }
 
-// park adds a likeless comment to the router-side parking. A comment
-// parks once, when it is added.
-func (r *router) park(c model.Comment) {
+// park adds a likeless comment, union-find node ni, to the router-side
+// parking. A comment parks once, when it is added.
+func (r *router) park(ni int, c model.Comment) {
 	r.parked[c.ID] = c
-	heap.Push(&r.parkedRank, core.Entry{ID: c.ID, Score: 0, Timestamp: c.Timestamp})
+	r.parkedRank.Set(ni, core.Entry{ID: c.ID, Score: 0, Timestamp: c.Timestamp})
 }
 
-// unpark removes a comment at its first like. Its parkedRank entry stays
-// until it surfaces; once dead entries outnumber live ones the heap is
-// rebuilt from the live set, which bounds it to about twice the parked
-// count at O(1) amortized cost per unpark.
-func (r *router) unpark(id model.ID) {
+// unpark removes comment id, union-find node ni, at its first like.
+func (r *router) unpark(ni int, id model.ID) {
 	delete(r.parked, id)
-	if len(r.parkedRank) > 2*len(r.parked)+core.TopK {
-		live := r.parkedRank[:0]
-		for _, e := range r.parkedRank {
-			if _, ok := r.parked[e.ID]; ok {
-				live = append(live, e)
-			}
-		}
-		r.parkedRank = live
-		heap.Init(&r.parkedRank)
-	}
+	r.parkedRank.Remove(ni)
 }
 
 // parkedTopK ranks the parked (likeless, hence zero-scoring) comments as
-// one more partition for the global Q2 merge: it pops parkedRank down to
-// its best live entries, discarding unparked ones on the way, and pushes
-// the live ones back.
-func (r *router) parkedTopK() core.Result {
-	top := make(core.Result, 0, core.TopK)
-	for len(top) < core.TopK && len(r.parkedRank) > 0 {
-		e := heap.Pop(&r.parkedRank).(core.Entry)
-		if _, ok := r.parked[e.ID]; ok {
-			top = append(top, e)
-		}
-	}
-	for _, e := range top {
-		heap.Push(&r.parkedRank, e)
-	}
-	return top
-}
-
-// parkedHeap is a container/heap of entries with the best entry (by
-// core.Less) at the root.
-type parkedHeap []core.Entry
-
-func (h parkedHeap) Len() int           { return len(h) }
-func (h parkedHeap) Less(i, j int) bool { return core.Less(h[i], h[j]) }
-func (h parkedHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *parkedHeap) Push(x any)        { *h = append(*h, x.(core.Entry)) }
-func (h *parkedHeap) Pop() any {
-	old := *h
-	e := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return e
-}
+// one more partition for the global Q2 merge.
+func (r *router) parkedTopK() core.Result { return r.parkedRank.Top(core.TopK) }
 
 // q2Snapshot renders shard s's current Q2 partition as a loadable
 // snapshot: all posts (broadcast), plus the shard's owned users, comments

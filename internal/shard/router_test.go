@@ -108,7 +108,7 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 // against a full sort of the parked set over random park/unpark sequences.
 // Timestamps are drawn from a small range, so ties on timestamp (decided
 // by id) are common, and unparks hit the top entry, entries deep in the
-// heap and everything in between; the heap must also stay bounded by the
+// heap and everything in between; the heap must also hold exactly the
 // live set.
 func TestParkedTopKMatchesBruteForce(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
@@ -124,7 +124,7 @@ func TestParkedTopKMatchesBruteForce(t *testing.T) {
 			case op < 5 || len(live) == 0:
 				c := model.Comment{ID: next, Timestamp: int64(rng.Intn(20)), PostID: 1}
 				next++
-				r.park(c)
+				r.park(r.addNode(commentKey(c.ID), 0), c)
 				live = append(live, c.ID)
 			default:
 				// Unpark the best-ranked comment half of the time.
@@ -132,7 +132,7 @@ func TestParkedTopKMatchesBruteForce(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					k = indexOf(live, r.parkedTopK()[0].ID)
 				}
-				r.unpark(live[k])
+				r.unpark(r.node[commentKey(live[k])], live[k])
 				live = append(live[:k], live[k+1:]...)
 			}
 			if rng.Intn(3) == 0 {
@@ -145,9 +145,9 @@ func TestParkedTopKMatchesBruteForce(t *testing.T) {
 			if got, w := r.parkedTopK().String(), want.Result().String(); got != w {
 				t.Fatalf("seed %d step %d: parkedTopK = %q, brute force %q", seed, step, got, w)
 			}
-			if len(r.parkedRank) > 2*len(r.parked)+core.TopK+1 {
+			if r.parkedRank.Len() != len(r.parked) {
 				t.Fatalf("seed %d step %d: heap holds %d entries for %d parked",
-					seed, step, len(r.parkedRank), len(r.parked))
+					seed, step, r.parkedRank.Len(), len(r.parked))
 			}
 		}
 	}
