@@ -130,7 +130,7 @@ func main() {
 	log.Printf("serving on %s (shards=%d seq=%d q1=%q q2=%q)", *addr, *shards, snap.Seq,
 		snap.Results[server.EngineQ1], snap.Results[server.EngineQ2])
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {
@@ -153,6 +153,25 @@ func main() {
 		log.Printf("shutdown complete: queue drained, WAL flushed, final snapshot written to %s", *dataDir)
 	} else {
 		log.Printf("shutdown complete: queue drained")
+	}
+}
+
+// Connection timeouts: a client has readHeaderTimeout to send its request
+// headers, and a keep-alive connection closes after idleTimeout without a
+// request. There is no write timeout, because a waited update blocks until
+// its batch commits.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the HTTP server for handler at addr.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

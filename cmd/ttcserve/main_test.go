@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"testing"
 	"time"
 
@@ -56,5 +57,25 @@ func TestValidateFlags(t *testing.T) {
 		if tc.name == "ok fsync off" && err == nil && policy != wal.SyncOff {
 			t.Errorf("fsync off resolved to %v", policy)
 		}
+	}
+}
+
+// TestNewHTTPServer pins the connection timeouts: header reads and idle
+// keep-alives are bounded, and nothing bounds a response, since a waited
+// update blocks until its batch commits.
+func TestNewHTTPServer(t *testing.T) {
+	h := http.NotFoundHandler()
+	srv := newHTTPServer("127.0.0.1:0", h)
+	if srv.Addr != "127.0.0.1:0" || srv.Handler == nil {
+		t.Fatalf("addr %q, handler %v", srv.Addr, srv.Handler)
+	}
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v > 0", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v > 0", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want none: waited updates block", srv.WriteTimeout)
 	}
 }

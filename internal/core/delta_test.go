@@ -37,10 +37,6 @@ func groupARetraction() *model.Retraction {
 	return &model.Retraction{
 		Users:    []model.ID{100, 101},
 		Comments: []model.ID{10},
-		Likes: []model.Like{
-			{UserID: 100, CommentID: 10}, {UserID: 101, CommentID: 10},
-		},
-		Friendships: []model.Friendship{{User1: 100, User2: 101}},
 	}
 }
 
@@ -140,11 +136,6 @@ func TestRetractTopRankedForcesRerank(t *testing.T) {
 			got, err := sol.Retract(&model.Retraction{
 				Users:    []model.ID{200, 201, 202},
 				Comments: []model.ID{20, 21},
-				Likes: []model.Like{
-					{UserID: 200, CommentID: 20}, {UserID: 201, CommentID: 20},
-					{UserID: 202, CommentID: 20}, {UserID: 202, CommentID: 21},
-				},
-				Friendships: []model.Friendship{{User1: 200, User2: 201}},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/datagen"
@@ -142,7 +143,8 @@ func TestPendingStaysBelowAssemblyLimit(t *testing.T) {
 // TestQ2IncrementalCCStatsMatchesRecount checks the CC engine's maintained
 // edge counters against a recount of its adjacency and like lists after
 // every update of a mixed insert/remove stream, after removals of edges
-// that do not exist, and across retractions and re-adds.
+// that do not exist, and across retractions of whole groups and the re-add
+// of what Extract returned for them, which must restore the answer.
 func TestQ2IncrementalCCStatsMatchesRecount(t *testing.T) {
 	recount := func(s *Q2IncrementalCC) int {
 		n := 0
@@ -186,34 +188,110 @@ func TestQ2IncrementalCCStatsMatchesRecount(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("removing missing edges")
+	// Retract whole groups (components over likes and friendships), the
+	// self-contained subgraphs Retract's contract asks for, and re-add
+	// what Extract returned for them.
 	rng := rand.New(rand.NewSource(10))
-	for round := 0; round < 5; round++ {
-		r := &model.Retraction{}
-		var readd []model.Change
-		for k := 0; k < 20; k++ {
-			u := users[rng.Intn(len(users))].ID
-			r.Users = append(r.Users, u)
-			readd = append(readd, model.Change{Kind: model.KindAddUser, User: model.User{ID: u}})
+	for round := 0; round < 8; round++ {
+		before, nnz := s.prev.String(), s.Stats().NNZ
+		// Groups that hold edges: the first round takes the largest, the
+		// others a random subset.
+		var groups []ccGroup
+		for _, g := range ccGroups(s) {
+			if len(g.users) > 0 && len(g.users)+len(g.comments) > 1 {
+				groups = append(groups, g)
+			}
 		}
-		for k := 0; k < 20; k++ {
-			c := comments[rng.Intn(len(comments))]
-			r.Comments = append(r.Comments, c.ID)
-			readd = append(readd, model.Change{Kind: model.KindAddComment, Comment: c})
+		sort.Slice(groups, func(a, b int) bool {
+			return len(groups[a].users)+len(groups[a].comments) > len(groups[b].users)+len(groups[b].comments)
+		})
+		picks := []int{0}
+		if round > 0 {
+			picks = rng.Perm(len(groups))[:1+rng.Intn(len(groups))]
 		}
-		if _, err := s.Retract(r); err != nil {
+		var users, comments []model.ID
+		for _, k := range picks {
+			users = append(users, groups[k].users...)
+			comments = append(comments, groups[k].comments...)
+		}
+		readd, err := s.Extract(users, comments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Retract(&model.Retraction{Users: users, Comments: comments}); err != nil {
 			t.Fatal(err)
 		}
 		check("retract")
-		for k := 0; k < 20; k++ {
-			readd = append(readd,
-				model.Change{Kind: model.KindAddLike, Like: model.Like{
-					UserID: r.Users[k], CommentID: r.Comments[rng.Intn(len(r.Comments))]}},
-				model.Change{Kind: model.KindAddFriendship, Friendship: model.Friendship{
-					User1: r.Users[k], User2: users[rng.Intn(len(users))].ID}})
+		if _, err := s.Extract(users, comments); err == nil && len(users)+len(comments) > 0 {
+			t.Fatal("extracting retracted entities succeeded, want error")
 		}
-		if _, err := s.Update(&model.ChangeSet{Changes: readd}); err != nil {
+		got, err := s.Update(&model.ChangeSet{Changes: readd})
+		if err != nil {
 			t.Fatal(err)
 		}
 		check("re-add")
+		if got.String() != before || s.Stats().NNZ != nnz {
+			t.Fatalf("round %d: re-adding %d users and %d comments gave %q with NNZ %d, want %q with NNZ %d",
+				round, len(users), len(comments), got, s.Stats().NNZ, before, nnz)
+		}
 	}
+}
+
+// ccGroup is one component of a CC engine's live users and comments over
+// its likes and friendships.
+type ccGroup struct {
+	users, comments []model.ID
+}
+
+// ccGroups partitions the engine's live users and comments into their
+// components, users at nodes 0..|users|-1 and comment ci at |users|+ci.
+func ccGroups(s *Q2IncrementalCC) []ccGroup {
+	nu := s.users.Len()
+	parent := make([]int, nu+s.comments.Len())
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	union := func(a, b int) { parent[find(a)] = find(b) }
+	for ci := range s.cc {
+		for _, el := range s.cc[ci].elems {
+			union(int(el.user), nu+ci)
+		}
+	}
+	for ui, fs := range s.friends {
+		for _, f := range fs {
+			union(ui, f)
+		}
+	}
+	at := make(map[int]int)
+	var groups []ccGroup
+	group := func(x int) *ccGroup {
+		r := find(x)
+		k, ok := at[r]
+		if !ok {
+			k = len(groups)
+			at[r] = k
+			groups = append(groups, ccGroup{})
+		}
+		return &groups[k]
+	}
+	for ui := 0; ui < nu; ui++ {
+		if _, gone := s.retiredUsers[ui]; !gone {
+			g := group(ui)
+			g.users = append(g.users, s.users.IDOf(ui))
+		}
+	}
+	for ci := range s.cc {
+		if _, gone := s.retiredComments[ci]; !gone {
+			g := group(nu + ci)
+			g.comments = append(g.comments, s.comments.IDOf(ci))
+		}
+	}
+	return groups
 }

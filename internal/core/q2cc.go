@@ -465,11 +465,6 @@ func (s *Q2IncrementalCC) reconnect(cc *commentComponents, r int32, starts []int
 		} else if o < 0 {
 			root = x
 		}
-		if root < 0 {
-			// No start at all: the component kept no friendship to search
-			// (only a retraction that was not self-contained leaves that).
-			root = x
-		}
 		cc.elems[x].parent = root
 		cc.elems[root].size++
 		owner[x] = 0
@@ -622,12 +617,14 @@ func (s *Q2IncrementalCC) Initial() (Result, error) {
 }
 
 // Retract is the subtractive counterpart of Update: it removes a
-// self-contained subgraph — every like in the retraction targets a
-// retracted comment from a retracted user, every friendship joins two
-// retracted users — from the maintained state and reevaluates, without
-// reloading the surviving partition. This is what makes a shard group
-// migration O(|group|) on the donor side: the shard router computes the
-// migrated group's retraction once and the donor's engine subtracts it.
+// self-contained subgraph, named by its users and comments, from the
+// maintained state and reevaluates, without reloading the surviving
+// partition. Self-contained means every like of a retracted comment comes
+// from a retracted user and every friendship of a retracted user joins two
+// retracted users, so the edges leave with their endpoints. This is what
+// makes a shard group migration O(|group|) on the donor side: the shard
+// router extracts the migrated group (Extract) and the donor's engine
+// subtracts it.
 //
 // The contract mirrors Update: Retract returns the post-retraction answer,
 // and LastResult/Stats reflect the retraction. Callers must guarantee
@@ -668,6 +665,55 @@ func (s *Q2IncrementalCC) Retract(r *model.Retraction) (Result, error) {
 	}
 	s.prev = s.ranking.Top(TopK)
 	return s.prev, nil
+}
+
+// Extract returns the subgraph of the given users and comments as the
+// add-changes that rebuild it in another engine: the users, the comments,
+// the likes of those comments and the friendships among those users.
+// Comments carry their id and timestamp, which is all this engine reads.
+// With Retract it moves a self-contained group between engines (a shard
+// migration), and it leaves the maintained state unchanged. Every entity
+// must be live in this engine; an unknown or retracted one is an error.
+func (s *Q2IncrementalCC) Extract(users, comments []model.ID) ([]model.Change, error) {
+	uis := make([]int, len(users))
+	cis := make([]int, len(comments))
+	s.nextEpoch()
+	out := make([]model.Change, 0, len(users)+len(comments))
+	for k, id := range users {
+		ui, ok := s.users.Index(id)
+		if _, gone := s.retiredUsers[ui]; !ok || gone {
+			return nil, fmt.Errorf("core: extract references unknown user %d", id)
+		}
+		uis[k] = ui
+		s.scratch.mark[ui] = s.scratch.epoch
+		out = append(out, model.Change{Kind: model.KindAddUser, User: model.User{ID: id}})
+	}
+	for k, id := range comments {
+		ci, ok := s.comments.Index(id)
+		if _, gone := s.retiredComments[ci]; !ok || gone {
+			return nil, fmt.Errorf("core: extract references unknown comment %d", id)
+		}
+		cis[k] = ci
+		out = append(out, model.Change{Kind: model.KindAddComment,
+			Comment: model.Comment{ID: id, Timestamp: s.commentTS[ci]}})
+	}
+	for k, ci := range cis {
+		for _, el := range s.cc[ci].elems {
+			out = append(out, model.Change{Kind: model.KindAddLike,
+				Like: model.Like{UserID: s.users.IDOf(int(el.user)), CommentID: comments[k]}})
+		}
+	}
+	// Both endpoints of a friendship among the users are marked, so the
+	// u < v half of the adjacency lists names each edge once.
+	for k, ui := range uis {
+		for _, f := range s.friends[ui] {
+			if v := s.users.IDOf(f); s.scratch.mark[f] == s.scratch.epoch && users[k] < v {
+				out = append(out, model.Change{Kind: model.KindAddFriendship,
+					Friendship: model.Friendship{User1: users[k], User2: v}})
+			}
+		}
+	}
+	return out, nil
 }
 
 // Update implements Solution: feed each change through its event handler;

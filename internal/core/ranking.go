@@ -45,6 +45,14 @@ func (r *Ranking) Set(key int, e Entry) {
 	r.up(i)
 }
 
+// Get returns key's entry and whether key is ranked.
+func (r *Ranking) Get(key int) (Entry, bool) {
+	if key >= len(r.pos) || r.pos[key] == 0 {
+		return Entry{}, false
+	}
+	return r.heap[r.pos[key]-1].e, true
+}
+
 // Remove drops key from the ranking; an absent key is a no-op.
 func (r *Ranking) Remove(key int) {
 	if key >= len(r.pos) || r.pos[key] == 0 {

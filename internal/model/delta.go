@@ -152,27 +152,15 @@ func CompactionMask(changes []Change) []bool {
 	return mask
 }
 
-// Retraction is a subtractive delta: a self-contained subgraph — every like
-// targets a listed comment from a listed user, every friendship joins two
-// listed users — to be removed wholesale from an engine's maintained state.
-// It is the donor side of a shard group migration: the router computes the
-// migrated group's retraction once and the donor's Q2 engine subtracts it
-// (core.Q2IncrementalCC.Retract), instead of reloading the donor's entire
-// remaining partition.
+// Retraction is a subtractive delta: a self-contained subgraph, named by
+// its users and comments, to be removed wholesale from an engine's
+// maintained state. Self-contained means every like of a listed comment
+// comes from a listed user and every friendship of a listed user joins two
+// listed users, so the edges go with their endpoints and need no listing.
+// It is the donor side of a shard group migration: the donor's Q2 engine
+// subtracts the migrated group (core.Q2IncrementalCC.Retract) instead of
+// reloading its entire remaining partition.
 type Retraction struct {
-	Users       []ID
-	Comments    []ID
-	Likes       []Like
-	Friendships []Friendship
-}
-
-// Empty reports whether the retraction subtracts nothing.
-func (r *Retraction) Empty() bool {
-	return len(r.Users) == 0 && len(r.Comments) == 0 &&
-		len(r.Likes) == 0 && len(r.Friendships) == 0
-}
-
-// Size reports the number of retracted elements.
-func (r *Retraction) Size() int {
-	return len(r.Users) + len(r.Comments) + len(r.Likes) + len(r.Friendships)
+	Users    []ID
+	Comments []ID
 }

@@ -219,18 +219,6 @@ func TestInsertAndRemovalCounts(t *testing.T) {
 	}
 }
 
-func TestRetractionHelpers(t *testing.T) {
-	var r Retraction
-	if !r.Empty() || r.Size() != 0 {
-		t.Fatal("zero retraction not empty")
-	}
-	r.Comments = append(r.Comments, 1)
-	r.Likes = append(r.Likes, Like{UserID: 2, CommentID: 1})
-	if r.Empty() || r.Size() != 2 {
-		t.Fatalf("Empty/Size = %v/%d, want false/2", r.Empty(), r.Size())
-	}
-}
-
 // TestApplyRemovalHeavyLinear pins the keyed-index Apply on a removal-heavy
 // set: interleaved adds and removals (including same-key re-adds inside one
 // set) must land on the sequentially-correct final state.

@@ -111,10 +111,13 @@ func BenchmarkDonorRepair(b *testing.B) {
 
 // BenchmarkDonorReload is the baseline the repair replaced: after the same
 // commit it times rebuilding the donor's Q2 engine from its surviving
-// partition — rendering the partition, then Load and Initial on a fresh
-// engine — so cost grows with the partition.
+// partition — cutting the partition from the post-bridge graph by the cut
+// start-up uses (router.q2Cuts), then Load and Initial on a fresh engine —
+// so cost grows with the partition.
 func BenchmarkDonorReload(b *testing.B) {
 	sweepDonor(b, func(b *testing.B, snap *model.Snapshot, bridge *model.ChangeSet) {
+		post := snap.Clone()
+		post.Apply(bridge)
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			rt := newDonorRuntime(b, snap)
@@ -122,7 +125,7 @@ func BenchmarkDonorReload(b *testing.B) {
 			donor := donorShard(b, rt)
 			b.StartTimer()
 			sol := core.NewQ2IncrementalCC()
-			if err := sol.Load(rt.router.q2Snapshot(donor)); err != nil {
+			if err := sol.Load(rt.router.q2Cuts(post)[donor]); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := sol.Initial(); err != nil {

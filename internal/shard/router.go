@@ -24,16 +24,23 @@ import (
 //     each resulting group lives wholly on one shard, which makes every
 //     shard's Q2 scores exact for the comments it owns. When a new edge
 //     merges two groups living on different shards, the router migrates the
-//     smaller (by materialized entities) group to the other shard: the
-//     donor retracts it from its Q2 engine and the recipient adds it.
+//     smaller (by materialized entities) group to the other shard: it
+//     extracts the group from the Q2 engine that holds it
+//     (core.Q2IncrementalCC.Extract), the donor retracts it and the
+//     recipient adds the extracted changes.
 //
 //     Comments with no likes are not assigned to any shard at all: they
-//     score exactly 0, so the router parks them locally and ranks the
-//     parked set as one more (virtual) partition at merge time. A parked
-//     comment materializes directly onto its first liker's shard, which
-//     keeps the common arrival order "comment now, first like a few
-//     commits later" migration-free — migrations happen only when a new
-//     edge genuinely merges two populated groups across shards.
+//     score exactly 0, so the router parks them in a ranking of its own
+//     and merges that as one more (virtual) partition. A parked comment
+//     materializes directly onto its first liker's shard, which keeps the
+//     common arrival order "comment now, first like a few commits later"
+//     migration-free — migrations happen only when a new edge genuinely
+//     merges two populated groups across shards.
+//
+// The router keeps routing state only. The shards' Q2 engines hold the
+// authoritative content of every partition (users, comments, likes and
+// friendships); the router knows, per union-find node, its id, its group
+// and the shard whose engine held it at the last commit.
 //
 // Removals (the future-work workload) never split router groups: a
 // union-find cannot un-union, so the grouping over-approximates the true
@@ -46,40 +53,13 @@ const (
 	nodeComment
 )
 
-// nodeKey identifies one union-find node (a user or a comment).
-type nodeKey struct {
-	kind nodeKind
-	id   model.ID
-}
+// noShard is the per-node shard byte of a node no shard's engine holds: a
+// parked comment, or an entity added by the commit being routed.
+const noShard = 0xff
 
-func userKey(id model.ID) nodeKey    { return nodeKey{nodeUser, id} }
-func commentKey(id model.ID) nodeKey { return nodeKey{nodeComment, id} }
-
-func (k nodeKey) less(o nodeKey) bool {
-	if k.kind != o.kind {
-		return k.kind < o.kind
-	}
-	return k.id < o.id
-}
-
-// q2state is the authoritative content of one shard's Q2 partition: the
-// users and comments it owns plus the edges among them. It is what moves
-// during a rebalance and what a shard's Q2 engine loads from at startup.
-type q2state struct {
-	users    map[model.ID]struct{}
-	comments map[model.ID]model.Comment
-	likes    map[model.ID]map[model.ID]struct{} // comment → likers
-	friends  map[model.ID]map[model.ID]struct{} // user → friends (both directions)
-}
-
-func newQ2State() *q2state {
-	return &q2state{
-		users:    make(map[model.ID]struct{}),
-		comments: make(map[model.ID]model.Comment),
-		likes:    make(map[model.ID]map[model.ID]struct{}),
-		friends:  make(map[model.ID]map[model.ID]struct{}),
-	}
-}
+// maxShards is the largest shard count: shard numbers are stored in a
+// byte per node, and noShard is reserved.
+const maxShards = noShard
 
 // shardOp is one migration-bookkeeping step for a single shard, applied
 // before the shard's routed q2 stream. Exactly one field is set: retract is
@@ -114,101 +94,103 @@ func newPlan(n int) *plan {
 type router struct {
 	n int
 
-	// Q1 routing.
-	postShard   map[model.ID]int
-	commentRoot map[model.ID]model.ID // comment → root post
+	// engines are the shards' Q2 engines. Migrations read them while
+	// routing, which runs on the committing goroutine before any shard is
+	// dispatched, so every worker is idle and each engine holds exactly
+	// its state at the last commit.
+	engines []*core.Q2IncrementalCC
 
-	// posts is every post ever seen; posts are broadcast to all Q2
-	// partitions (comments need their root to exist wherever they land).
-	posts []model.Post
+	// users and comments map ids to union-find nodes.
+	users, comments map[model.ID]int32
 
-	// parked holds the likeless comments, which belong to no Q2 partition:
-	// they score exactly 0, are ranked by parkedTopK as a virtual
-	// partition, and materialize onto their first liker's shard.
-	parked map[model.ID]model.Comment
-	// parkedRank ranks the parked comments, keyed by union-find node, so
-	// parking, unparking and ranking each cost O(log parked).
+	// Per node. held is the shard whose Q2 engine held the node at the
+	// last commit (noShard if none); q1 is a comment's Q1 shard, the hash
+	// of its root post.
+	ids    []model.ID
+	kind   []nodeKind
+	parent []int32
+	next   []int32 // the members of a group form a ring through next
+	held   []uint8
+	q1     []uint8
+
+	// Valid at a root: the group's member count, how many of its members
+	// some engine holds, and its shard.
+	size     []int32
+	matCount []int32
+	shard    []uint8
+
+	// parkedRank ranks the parked (likeless) comments, keyed by node. It
+	// is the only record of them: they belong to no Q2 partition, rank
+	// here as a virtual one, and materialize onto their first liker's
+	// shard from their ranked entry.
 	parkedRank core.Ranking
 
-	// Union-find over users ∪ comments with per-root group state.
-	node         map[nodeKey]int
-	parent       []int
-	keys         []nodeKey
-	members      [][]int // valid at root: node indices in the group
-	groupShard   []int   // valid at root
-	matCount     []int   // valid at root: materialized members
-	materialized []bool  // per node: entity data present in its shard's q2state
-
-	states []*q2state
+	// moved collects the nodes migrated by the commit being routed. Their
+	// held shard is updated after all merges, since a group that arrived
+	// earlier in the commit is not yet in its new shard's engine.
+	moved []int32
 
 	rebalances int
 }
 
 func newRouter(n int, snap *model.Snapshot) (*router, error) {
+	nodes := len(snap.Users) + len(snap.Comments)
 	r := &router{
-		n:           n,
-		postShard:   make(map[model.ID]int, len(snap.Posts)),
-		commentRoot: make(map[model.ID]model.ID, len(snap.Comments)),
-		node:        make(map[nodeKey]int, len(snap.Users)+len(snap.Comments)),
-		parked:      make(map[model.ID]model.Comment),
-		states:      make([]*q2state, n),
-	}
-	for s := 0; s < n; s++ {
-		r.states[s] = newQ2State()
-	}
-
-	for _, p := range snap.Posts {
-		r.posts = append(r.posts, p)
-		r.postShard[p.ID] = hashShard(p.ID, n)
-	}
-	for _, c := range snap.Comments {
-		r.commentRoot[c.ID] = c.PostID
+		n:        n,
+		users:    make(map[model.ID]int32, len(snap.Users)),
+		comments: make(map[model.ID]int32, len(snap.Comments)),
+		ids:      make([]model.ID, 0, nodes),
+		kind:     make([]nodeKind, 0, nodes),
+		parent:   make([]int32, 0, nodes),
+		next:     make([]int32, 0, nodes),
+		held:     make([]uint8, 0, nodes),
+		q1:       make([]uint8, 0, nodes),
+		size:     make([]int32, 0, nodes),
+		matCount: make([]int32, 0, nodes),
+		shard:    make([]uint8, 0, nodes),
 	}
 
 	// Build the Q2 grouping of the initial snapshot, then spread whole
 	// groups over the shards, largest first onto the least-loaded shard, so
 	// the initial partition is balanced and deterministic.
 	for _, u := range snap.Users {
-		r.addNode(userKey(u.ID), 0)
+		r.addNode(nodeUser, u.ID, 0)
 	}
 	for _, c := range snap.Comments {
-		r.addNode(commentKey(c.ID), 0)
+		r.addComment(c, 0)
 	}
 	for _, l := range snap.Likes {
-		if err := r.loadUnion(userKey(l.UserID), commentKey(l.CommentID)); err != nil {
+		if err := r.loadUnion(nodeUser, l.UserID, nodeComment, l.CommentID); err != nil {
 			return nil, err
 		}
 	}
 	for _, f := range snap.Friendships {
-		if err := r.loadUnion(userKey(f.User1), userKey(f.User2)); err != nil {
+		if err := r.loadUnion(nodeUser, f.User1, nodeUser, f.User2); err != nil {
 			return nil, err
 		}
 	}
 	// A singleton comment node is a likeless comment (comment nodes only
 	// ever union through likes): park it instead of assigning a shard.
-	commentByID := make(map[model.ID]model.Comment, len(snap.Comments))
 	for _, c := range snap.Comments {
-		commentByID[c.ID] = c
+		if ni := r.comments[c.ID]; r.parent[ni] == ni && r.size[ni] == 1 {
+			r.park(ni, c.ID, c.Timestamp)
+		}
 	}
-	roots := make([]int, 0)
+	roots := make([]int32, 0)
 	for i := range r.parent {
-		if r.find(i) != i {
-			continue
+		ni := int32(i)
+		if _, parked := r.parkedRank.Get(i); r.find(ni) == ni && !parked {
+			roots = append(roots, ni)
 		}
-		if len(r.members[i]) == 1 && r.keys[i].kind == nodeComment {
-			r.park(i, commentByID[r.keys[i].id])
-			continue
-		}
-		roots = append(roots, i)
 	}
 	sort.Slice(roots, func(a, b int) bool {
 		ra, rb := roots[a], roots[b]
-		if len(r.members[ra]) != len(r.members[rb]) {
-			return len(r.members[ra]) > len(r.members[rb])
+		if r.size[ra] != r.size[rb] {
+			return r.size[ra] > r.size[rb]
 		}
-		return r.minMemberKey(ra).less(r.minMemberKey(rb))
+		return r.lessNode(r.minMember(ra), r.minMember(rb))
 	})
-	load := make([]int, n)
+	load := make([]int32, n)
 	for _, root := range roots {
 		s := 0
 		for i := 1; i < n; i++ {
@@ -216,43 +198,12 @@ func newRouter(n int, snap *model.Snapshot) (*router, error) {
 				s = i
 			}
 		}
-		r.groupShard[root] = s
-		load[s] += len(r.members[root])
-		r.matCount[root] = len(r.members[root])
-		for _, ni := range r.members[root] {
-			r.materialized[ni] = true
-		}
-	}
-
-	// Materialize the per-shard Q2 partition content.
-	for _, u := range snap.Users {
-		r.states[r.shardOf(userKey(u.ID))].users[u.ID] = struct{}{}
-	}
-	for _, c := range snap.Comments {
-		if _, isParked := r.parked[c.ID]; isParked {
-			continue
-		}
-		r.states[r.shardOf(commentKey(c.ID))].comments[c.ID] = c
-	}
-	for _, l := range snap.Likes {
-		st := r.states[r.shardOf(commentKey(l.CommentID))]
-		addEdge(st.likes, l.CommentID, l.UserID)
-	}
-	for _, f := range snap.Friendships {
-		st := r.states[r.shardOf(userKey(f.User1))]
-		addEdge(st.friends, f.User1, f.User2)
-		addEdge(st.friends, f.User2, f.User1)
+		r.shard[root] = uint8(s)
+		load[s] += r.size[root]
+		r.matCount[root] = r.size[root]
+		r.eachMember(root, func(ni int32) { r.held[ni] = uint8(s) })
 	}
 	return r, nil
-}
-
-func addEdge(m map[model.ID]map[model.ID]struct{}, a, b model.ID) {
-	s, ok := m[a]
-	if !ok {
-		s = make(map[model.ID]struct{})
-		m[a] = s
-	}
-	s[b] = struct{}{}
 }
 
 // hashShard places ids deterministically (splitmix64 finalizer).
@@ -266,22 +217,42 @@ func hashShard(id model.ID, n int) int {
 	return int(x % uint64(n))
 }
 
-func (r *router) addNode(k nodeKey, shard int) int {
-	if ni, ok := r.node[k]; ok {
+func (r *router) index(kind nodeKind) map[model.ID]int32 {
+	if kind == nodeComment {
+		return r.comments
+	}
+	return r.users
+}
+
+// addNode returns the node of (kind, id), creating a singleton group on
+// shard if it is new.
+func (r *router) addNode(kind nodeKind, id model.ID, shard uint8) int32 {
+	m := r.index(kind)
+	if ni, ok := m[id]; ok {
 		return ni
 	}
-	ni := len(r.parent)
-	r.node[k] = ni
+	ni := int32(len(r.parent))
+	m[id] = ni
+	r.ids = append(r.ids, id)
+	r.kind = append(r.kind, kind)
 	r.parent = append(r.parent, ni)
-	r.keys = append(r.keys, k)
-	r.members = append(r.members, []int{ni})
-	r.groupShard = append(r.groupShard, shard)
+	r.next = append(r.next, ni)
+	r.held = append(r.held, noShard)
+	r.q1 = append(r.q1, noShard)
+	r.size = append(r.size, 1)
 	r.matCount = append(r.matCount, 0)
-	r.materialized = append(r.materialized, false)
+	r.shard = append(r.shard, shard)
 	return ni
 }
 
-func (r *router) find(x int) int {
+// addComment adds c's node and records its Q1 shard.
+func (r *router) addComment(c model.Comment, shard uint8) int32 {
+	ni := r.addNode(nodeComment, c.ID, shard)
+	r.q1[ni] = uint8(hashShard(c.PostID, r.n))
+	return ni
+}
+
+func (r *router) find(x int32) int32 {
 	for r.parent[x] != x {
 		r.parent[x] = r.parent[r.parent[x]]
 		x = r.parent[x]
@@ -289,75 +260,89 @@ func (r *router) find(x int) int {
 	return x
 }
 
-func (r *router) lookup(k nodeKey) (int, error) {
-	ni, ok := r.node[k]
+func (r *router) lookup(kind nodeKind, id model.ID) (int32, error) {
+	ni, ok := r.index(kind)[id]
 	if !ok {
-		kind := "user"
-		if k.kind == nodeComment {
-			kind = "comment"
+		name := "user"
+		if kind == nodeComment {
+			name = "comment"
 		}
-		return 0, fmt.Errorf("shard: change references unknown %s %d", kind, k.id)
+		return 0, fmt.Errorf("shard: change references unknown %s %d", name, id)
 	}
 	return ni, nil
 }
 
-func (r *router) shardOf(k nodeKey) int { return r.groupShard[r.find(r.node[k])] }
+// shardOf returns the shard of the group of node ni.
+func (r *router) shardOf(ni int32) int { return int(r.shard[r.find(ni)]) }
 
-func (r *router) minMemberKey(root int) nodeKey {
-	min := r.keys[r.members[root][0]]
-	for _, ni := range r.members[root][1:] {
-		if r.keys[ni].less(min) {
-			min = r.keys[ni]
+// eachMember calls f for every member of root's group.
+func (r *router) eachMember(root int32, f func(ni int32)) {
+	for x := root; ; {
+		f(x)
+		if x = r.next[x]; x == root {
+			return
 		}
 	}
-	return min
+}
+
+// lessNode orders nodes by kind, then id.
+func (r *router) lessNode(a, b int32) bool {
+	if r.kind[a] != r.kind[b] {
+		return r.kind[a] < r.kind[b]
+	}
+	return r.ids[a] < r.ids[b]
+}
+
+func (r *router) minMember(root int32) int32 {
+	least := root
+	r.eachMember(root, func(ni int32) {
+		if r.lessNode(ni, least) {
+			least = ni
+		}
+	})
+	return least
 }
 
 // loadUnion merges groups during initial-snapshot analysis, before shards
 // are assigned — no migration bookkeeping.
-func (r *router) loadUnion(a, b nodeKey) error {
-	na, err := r.lookup(a)
+func (r *router) loadUnion(ka nodeKind, a model.ID, kb nodeKind, b model.ID) error {
+	na, err := r.lookup(ka, a)
 	if err != nil {
 		return err
 	}
-	nb, err := r.lookup(b)
+	nb, err := r.lookup(kb, b)
 	if err != nil {
 		return err
 	}
-	ra, rb := r.find(na), r.find(nb)
-	if ra == rb {
-		return nil
+	if ra, rb := r.find(na), r.find(nb); ra != rb {
+		r.mergeRoots(ra, rb, 0)
 	}
-	r.mergeRoots(ra, rb, 0)
 	return nil
 }
 
-// mergeRoots links two roots, concatenating the smaller member list into
-// the larger (so members move O(log n) times over any union sequence), and
-// stamps the merged root with the given shard.
-func (r *router) mergeRoots(ra, rb, shard int) int {
-	if len(r.members[ra]) < len(r.members[rb]) {
+// mergeRoots links two roots, the smaller under the larger, splices their
+// member rings, and stamps the merged root with the given shard.
+func (r *router) mergeRoots(ra, rb int32, shard uint8) int32 {
+	if r.size[ra] < r.size[rb] {
 		ra, rb = rb, ra
 	}
 	r.parent[rb] = ra
-	r.members[ra] = append(r.members[ra], r.members[rb]...)
-	r.members[rb] = nil
+	r.next[ra], r.next[rb] = r.next[rb], r.next[ra]
+	r.size[ra] += r.size[rb]
 	r.matCount[ra] += r.matCount[rb]
-	r.groupShard[ra] = shard
+	r.shard[ra] = shard
 	return ra
 }
 
 // union merges the groups of a and b during a commit. If the groups live on
 // different shards, the side with fewer materialized entities migrates to
-// the other side's shard: its entities and edges move between q2states, the
-// donor shard receives the moved subgraph as a retraction, and the
-// recipient receives synthetic add-changes replaying it.
-func (r *router) union(a, b nodeKey, p *plan) error {
-	na, err := r.lookup(a)
+// the other side's shard.
+func (r *router) union(ka nodeKind, a model.ID, kb nodeKind, b model.ID, p *plan) error {
+	na, err := r.lookup(ka, a)
 	if err != nil {
 		return err
 	}
-	nb, err := r.lookup(b)
+	nb, err := r.lookup(kb, b)
 	if err != nil {
 		return err
 	}
@@ -368,90 +353,72 @@ func (r *router) union(a, b nodeKey, p *plan) error {
 	winner, loser := ra, rb
 	if r.matCount[loser] > r.matCount[winner] ||
 		(r.matCount[loser] == r.matCount[winner] &&
-			(len(r.members[loser]) > len(r.members[winner]) ||
-				(len(r.members[loser]) == len(r.members[winner]) && r.groupShard[loser] < r.groupShard[winner]))) {
+			(r.size[loser] > r.size[winner] ||
+				(r.size[loser] == r.size[winner] && r.shard[loser] < r.shard[winner]))) {
 		winner, loser = loser, winner
 	}
-	dest := r.groupShard[winner]
-	if r.groupShard[loser] != dest && r.matCount[loser] > 0 {
-		r.migrate(loser, dest, p)
+	dest := r.shard[winner]
+	if r.shard[loser] != dest && r.matCount[loser] > 0 {
+		if err := r.migrate(loser, dest, p); err != nil {
+			return err
+		}
 	}
 	r.mergeRoots(winner, loser, dest)
 	return nil
 }
 
-// migrate moves the materialized entities of the group rooted at loser from
-// its current shard to dest: the moved subgraph is expressed once as a
-// keyed delta, queued for the donor as a retraction (its Q2 engine
-// subtracts it) and for the recipient as synthetic add-changes. All
-// materialized members of a group live on its shard and all their
-// Q2-relevant edges are intra-group, so moving the member list moves a
-// complete, self-contained subgraph — exactly the precondition
+// migrate moves the materialized members of the group rooted at loser
+// from its current shard to dest. Each member is extracted from the engine
+// that held it at the last commit — normally the group's shard, but a part
+// that arrived earlier in this commit is still in its old shard's engine —
+// and the extracted changes are queued for the recipient. The donor gets
+// the members as a retraction. All materialized members of a group live on
+// its shard and all their Q2-relevant edges are intra-group, so the moved
+// subgraph is complete and self-contained, exactly the precondition
 // core.Q2IncrementalCC.Retract requires.
-func (r *router) migrate(loser, dest int, p *plan) {
-	src := r.groupShard[loser]
-	from, to := r.states[src], r.states[dest]
+func (r *router) migrate(loser int32, dest uint8, p *plan) error {
+	src := r.shard[loser]
+	users := make([][]model.ID, r.n)
+	comments := make([][]model.ID, r.n)
+	r.eachMember(loser, func(ni int32) {
+		h := r.held[ni]
+		if h == noShard {
+			return
+		}
+		if r.kind[ni] == nodeUser {
+			users[h] = append(users[h], r.ids[ni])
+		} else {
+			comments[h] = append(comments[h], r.ids[ni])
+		}
+		r.moved = append(r.moved, ni)
+	})
 	ret := &model.Retraction{}
-	var movedComments []model.Comment
-	for _, ni := range r.members[loser] {
-		if !r.materialized[ni] {
+	var syn []model.Change
+	for s := range users {
+		if len(users[s]) == 0 && len(comments[s]) == 0 {
 			continue
 		}
-		k := r.keys[ni]
-		if k.kind == nodeUser {
-			delete(from.users, k.id)
-			to.users[k.id] = struct{}{}
-			if adj, ok := from.friends[k.id]; ok {
-				to.friends[k.id] = adj
-				delete(from.friends, k.id)
-			}
-			ret.Users = append(ret.Users, k.id)
-		} else {
-			c := from.comments[k.id]
-			delete(from.comments, k.id)
-			to.comments[k.id] = c
-			if likers, ok := from.likes[k.id]; ok {
-				to.likes[k.id] = likers
-				delete(from.likes, k.id)
-			}
-			ret.Comments = append(ret.Comments, c.ID)
-			movedComments = append(movedComments, c)
+		adds, err := r.engines[s].Extract(users[s], comments[s])
+		if err != nil {
+			return fmt.Errorf("shard %d: extract: %w", s, err)
 		}
+		syn = append(syn, adds...)
+		ret.Users = append(ret.Users, users[s]...)
+		ret.Comments = append(ret.Comments, comments[s]...)
 	}
-	for _, c := range movedComments {
-		for u := range to.likes[c.ID] {
-			ret.Likes = append(ret.Likes, model.Like{UserID: u, CommentID: c.ID})
-		}
-	}
-	// Both endpoints of every moved friendship migrate together, so the
-	// u < v half of each adjacency set lists the edge exactly once.
-	for _, u := range ret.Users {
-		for v := range to.friends[u] {
-			if u < v {
-				ret.Friendships = append(ret.Friendships, model.Friendship{User1: u, User2: v})
-			}
-		}
-	}
-
-	// The recipient's synthetic add stream is the same delta replayed
-	// additively: nodes first, then the edges among them.
-	syn := make([]model.Change, 0, ret.Size())
-	for _, id := range ret.Users {
-		syn = append(syn, model.Change{Kind: model.KindAddUser, User: model.User{ID: id}})
-	}
-	for _, c := range movedComments {
-		syn = append(syn, model.Change{Kind: model.KindAddComment, Comment: c})
-	}
-	for _, l := range ret.Likes {
-		syn = append(syn, model.Change{Kind: model.KindAddLike, Like: l})
-	}
-	for _, f := range ret.Friendships {
-		syn = append(syn, model.Change{Kind: model.KindAddFriendship, Friendship: f})
-	}
-
 	p.ops[src] = append(p.ops[src], shardOp{retract: ret})
 	p.ops[dest] = append(p.ops[dest], shardOp{synthetic: syn})
 	r.rebalances++
+	return nil
+}
+
+// materialize records that node ni, in the group rooted at root, is held
+// by that group's shard from this commit on.
+func (r *router) materialize(ni, root int32) {
+	if r.held[ni] == noShard {
+		r.held[ni] = r.shard[root]
+		r.matCount[root]++
+	}
 }
 
 // route translates one validated change set into the per-shard plan. Pass A
@@ -466,45 +433,43 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 		ch := &cs.Changes[i]
 		switch ch.Kind {
 		case model.KindAddUser:
-			r.addNode(userKey(ch.User.ID), hashShard(ch.User.ID, r.n))
+			r.addNode(nodeUser, ch.User.ID, uint8(hashShard(ch.User.ID, r.n)))
 		case model.KindAddComment:
-			r.addNode(commentKey(ch.Comment.ID), hashShard(ch.Comment.ID, r.n))
+			r.addComment(ch.Comment, uint8(hashShard(ch.Comment.ID, r.n)))
 		case model.KindAddLike:
-			if err := r.union(userKey(ch.Like.UserID), commentKey(ch.Like.CommentID), p); err != nil {
+			if err := r.union(nodeUser, ch.Like.UserID, nodeComment, ch.Like.CommentID, p); err != nil {
 				return nil, err
 			}
 		case model.KindAddFriendship:
-			if err := r.union(userKey(ch.Friendship.User1), userKey(ch.Friendship.User2), p); err != nil {
+			if err := r.union(nodeUser, ch.Friendship.User1, nodeUser, ch.Friendship.User2, p); err != nil {
 				return nil, err
 			}
 		}
 	}
+	// Every migrated node is now held by its group's final shard.
+	for _, ni := range r.moved {
+		r.held[ni] = uint8(r.shardOf(ni))
+	}
+	r.moved = r.moved[:0]
 
-	// Pass B: route each change to its final owner and keep the q2states
-	// (the authoritative partition content) current.
+	// Pass B: route each change to its final owner.
 	for i := range cs.Changes {
 		ch := cs.Changes[i]
 		switch ch.Kind {
 		case model.KindAddPost:
-			r.posts = append(r.posts, ch.Post)
 			s := hashShard(ch.Post.ID, r.n)
-			r.postShard[ch.Post.ID] = s
 			p.q1[s] = append(p.q1[s], ch)
 			for t := range p.q2 { // every Q2 partition needs every root post
 				p.q2[t] = append(p.q2[t], ch)
 			}
 		case model.KindAddUser:
-			ni, err := r.lookup(userKey(ch.User.ID))
+			ni, err := r.lookup(nodeUser, ch.User.ID)
 			if err != nil {
 				return nil, err
 			}
 			root := r.find(ni)
-			s := r.groupShard[root]
-			r.states[s].users[ch.User.ID] = struct{}{}
-			if !r.materialized[ni] {
-				r.materialized[ni] = true
-				r.matCount[root]++
-			}
+			r.materialize(ni, root)
+			s := r.shard[root]
 			p.q2[s] = append(p.q2[s], ch)
 			for t := range p.q1 { // Q1 partitions hold all users (like targets)
 				p.q1[t] = append(p.q1[t], ch)
@@ -513,64 +478,36 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 			// Q2: park the likeless comment at the router; it materializes
 			// on a shard at its first like (keeping first likes
 			// migration-free — no singleton group to move).
-			ni, err := r.lookup(commentKey(ch.Comment.ID))
+			ni, err := r.lookup(nodeComment, ch.Comment.ID)
 			if err != nil {
 				return nil, err
 			}
-			r.park(ni, ch.Comment)
-			r.commentRoot[ch.Comment.ID] = ch.Comment.PostID
-			ps, err := r.q1ShardOfComment(ch.Comment.ID)
-			if err != nil {
-				return nil, err
-			}
-			p.q1[ps] = append(p.q1[ps], ch)
+			r.park(ni, ch.Comment.ID, ch.Comment.Timestamp)
+			p.q1[r.q1[ni]] = append(p.q1[r.q1[ni]], ch)
 		case model.KindAddLike, model.KindRemoveLike:
-			ni, err := r.lookup(commentKey(ch.Like.CommentID))
+			ni, err := r.lookup(nodeComment, ch.Like.CommentID)
 			if err != nil {
 				return nil, err
 			}
 			root := r.find(ni)
-			s := r.groupShard[root]
-			st := r.states[s]
-			if c, wasParked := r.parked[ch.Like.CommentID]; wasParked {
+			s := r.shard[root]
+			if e, parked := r.parkedRank.Get(int(ni)); parked {
 				// First like: the comment joins its liker's group's shard.
 				// (Pass A already unioned them, and the parked side has no
 				// materialized entities, so no migration was triggered.)
-				r.unpark(ni, c.ID)
-				st.comments[c.ID] = c
-				r.materialized[ni] = true
-				r.matCount[root]++
-				p.q2[s] = append(p.q2[s], model.Change{Kind: model.KindAddComment, Comment: c})
-			}
-			if ch.Kind == model.KindAddLike {
-				addEdge(st.likes, ch.Like.CommentID, ch.Like.UserID)
-			} else if likers, ok := st.likes[ch.Like.CommentID]; ok {
-				delete(likers, ch.Like.UserID)
+				r.parkedRank.Remove(int(ni))
+				r.materialize(ni, root)
+				p.q2[s] = append(p.q2[s], model.Change{Kind: model.KindAddComment,
+					Comment: model.Comment{ID: e.ID, Timestamp: e.Timestamp}})
 			}
 			p.q2[s] = append(p.q2[s], ch)
-			ps, err := r.q1ShardOfComment(ch.Like.CommentID)
-			if err != nil {
-				return nil, err
-			}
-			p.q1[ps] = append(p.q1[ps], ch)
+			p.q1[r.q1[ni]] = append(p.q1[r.q1[ni]], ch)
 		case model.KindAddFriendship, model.KindRemoveFriendship:
-			ni, err := r.lookup(userKey(ch.Friendship.User1))
+			ni, err := r.lookup(nodeUser, ch.Friendship.User1)
 			if err != nil {
 				return nil, err
 			}
-			s := r.groupShard[r.find(ni)]
-			st := r.states[s]
-			if ch.Kind == model.KindAddFriendship {
-				addEdge(st.friends, ch.Friendship.User1, ch.Friendship.User2)
-				addEdge(st.friends, ch.Friendship.User2, ch.Friendship.User1)
-			} else {
-				if adj, ok := st.friends[ch.Friendship.User1]; ok {
-					delete(adj, ch.Friendship.User2)
-				}
-				if adj, ok := st.friends[ch.Friendship.User2]; ok {
-					delete(adj, ch.Friendship.User1)
-				}
-			}
+			s := r.shardOf(ni)
 			p.q2[s] = append(p.q2[s], ch)
 			// Q1 ignores the friends graph entirely; not routed.
 		default:
@@ -580,82 +517,67 @@ func (r *router) route(cs *model.ChangeSet) (*plan, error) {
 	return p, nil
 }
 
-func (r *router) q1ShardOfComment(commentID model.ID) (int, error) {
-	postID, ok := r.commentRoot[commentID]
-	if !ok {
-		return 0, fmt.Errorf("shard: like references unknown comment %d", commentID)
-	}
-	s, ok := r.postShard[postID]
-	if !ok {
-		return 0, fmt.Errorf("shard: comment %d roots at unknown post %d", commentID, postID)
-	}
-	return s, nil
-}
-
-// q1Snapshot builds shard s's Q1 partition of the initial snapshot: its
-// hashed posts with their comment subtrees and likes, and every user (likes
-// reference users, and users are too cheap to be worth partitioning for
-// Q1). Friendships are omitted — Q1 never reads them.
-func (r *router) q1Snapshot(snap *model.Snapshot, s int) *model.Snapshot {
-	out := &model.Snapshot{Users: snap.Users}
-	for _, p := range snap.Posts {
-		if r.postShard[p.ID] == s {
-			out.Posts = append(out.Posts, p)
-		}
-	}
-	for _, c := range snap.Comments {
-		if r.postShard[c.PostID] == s {
-			out.Comments = append(out.Comments, c)
-		}
-	}
-	for _, l := range snap.Likes {
-		if r.postShard[r.commentRoot[l.CommentID]] == s {
-			out.Likes = append(out.Likes, l)
-		}
-	}
-	return out
-}
-
-// park adds a likeless comment, union-find node ni, to the router-side
-// parking. A comment parks once, when it is added.
-func (r *router) park(ni int, c model.Comment) {
-	r.parked[c.ID] = c
-	r.parkedRank.Set(ni, core.Entry{ID: c.ID, Score: 0, Timestamp: c.Timestamp})
-}
-
-// unpark removes comment id, union-find node ni, at its first like.
-func (r *router) unpark(ni int, id model.ID) {
-	delete(r.parked, id)
-	r.parkedRank.Remove(ni)
+// park adds a likeless comment, node ni, to the parked ranking. A comment
+// parks once, when it is added.
+func (r *router) park(ni int32, id model.ID, ts int64) {
+	r.parkedRank.Set(int(ni), core.Entry{ID: id, Score: 0, Timestamp: ts})
 }
 
 // parkedTopK ranks the parked (likeless, hence zero-scoring) comments as
 // one more partition for the global Q2 merge.
 func (r *router) parkedTopK() core.Result { return r.parkedRank.Top(core.TopK) }
 
-// q2Snapshot renders shard s's current Q2 partition as a loadable
-// snapshot: all posts (broadcast), plus the shard's owned users, comments
-// and intra-partition edges. Used at startup.
-func (r *router) q2Snapshot(s int) *model.Snapshot {
-	st := r.states[s]
-	out := &model.Snapshot{Posts: append([]model.Post(nil), r.posts...)}
-	for id := range st.users {
-		out.Users = append(out.Users, model.User{ID: id})
+// q1Cuts splits the initial snapshot into the shards' Q1 partitions in
+// one pass: each shard gets its hashed posts with their comment subtrees
+// and likes, and every user (likes reference users, and users are too
+// cheap to be worth partitioning for Q1). Friendships are omitted — Q1
+// never reads them.
+func (r *router) q1Cuts(snap *model.Snapshot) []*model.Snapshot {
+	out := make([]*model.Snapshot, r.n)
+	for s := range out {
+		out[s] = &model.Snapshot{Users: snap.Users}
 	}
-	for _, c := range st.comments {
-		out.Comments = append(out.Comments, c)
+	for _, p := range snap.Posts {
+		s := out[hashShard(p.ID, r.n)]
+		s.Posts = append(s.Posts, p)
 	}
-	for c, likers := range st.likes {
-		for u := range likers {
-			out.Likes = append(out.Likes, model.Like{UserID: u, CommentID: c})
+	for _, c := range snap.Comments {
+		s := out[r.q1[r.comments[c.ID]]]
+		s.Comments = append(s.Comments, c)
+	}
+	for _, l := range snap.Likes {
+		s := out[r.q1[r.comments[l.CommentID]]]
+		s.Likes = append(s.Likes, l)
+	}
+	return out
+}
+
+// q2Cuts splits a snapshot into the shards' Q2 partitions by group in one
+// pass: each shard gets the users and comments its engine holds and the
+// edges among them, and every post (comments need their root wherever
+// they land). Parked comments go nowhere. It reads only the held shards,
+// so it leaves the union-find untouched.
+func (r *router) q2Cuts(snap *model.Snapshot) []*model.Snapshot {
+	out := make([]*model.Snapshot, r.n)
+	for s := range out {
+		out[s] = &model.Snapshot{Posts: snap.Posts}
+	}
+	for _, u := range snap.Users {
+		s := out[r.held[r.users[u.ID]]]
+		s.Users = append(s.Users, u)
+	}
+	for _, c := range snap.Comments {
+		if h := r.held[r.comments[c.ID]]; h != noShard {
+			out[h].Comments = append(out[h].Comments, c)
 		}
 	}
-	for u, adj := range st.friends {
-		for v := range adj {
-			if u < v {
-				out.Friendships = append(out.Friendships, model.Friendship{User1: u, User2: v})
-			}
-		}
+	for _, l := range snap.Likes {
+		s := out[r.held[r.comments[l.CommentID]]]
+		s.Likes = append(s.Likes, l)
+	}
+	for _, f := range snap.Friendships {
+		s := out[r.held[r.users[f.User1]]]
+		s.Friendships = append(s.Friendships, f)
 	}
 	return out
 }

@@ -2,9 +2,11 @@ package shard
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/model"
 )
 
@@ -13,7 +15,8 @@ import (
 // it parks at the router and ranks through parkedTopK as a virtual
 // partition — and its first like materializes it onto the liker's shard as
 // a synthetic add, never as a group migration (no retraction op, no donor
-// repair, no rebalance).
+// repair, no rebalance). The liker's shard's engine, fed the routed
+// streams, then holds the comment.
 func TestRouterParkedCommentLifecycle(t *testing.T) {
 	snap := &model.Snapshot{
 		Posts: []model.Post{{ID: 1, Timestamp: 1}},
@@ -28,12 +31,24 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	parked := func(id model.ID) bool {
+		_, ok := r.parkedRank.Get(int(r.comments[id]))
+		return ok
+	}
+	likerShard := r.shardOf(r.users[101])
+	engine := core.NewQ2IncrementalCC()
+	if err := engine.Load(r.q2Cuts(snap)[likerShard]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.Initial(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Initial analysis: the likeless comment parked, the liked one did not.
-	if _, ok := r.parked[11]; !ok {
+	if !parked(11) {
 		t.Fatal("likeless snapshot comment 11 did not park")
 	}
-	if _, ok := r.parked[10]; ok {
+	if parked(10) {
 		t.Fatal("liked comment 10 parked")
 	}
 	if got := r.parkedTopK().String(); got != "11" {
@@ -48,7 +63,7 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.parked[12]; !ok {
+	if !parked(12) {
 		t.Fatal("new likeless comment 12 did not park")
 	}
 	for s := 0; s < r.n; s++ {
@@ -63,21 +78,17 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 	// First like: the comment must materialize onto its liker's shard as a
 	// synthetic AddComment followed by the like — and nothing else: no
 	// retraction, no rebalance, no work on the other shard.
-	likerShard := r.shardOf(userKey(101))
 	p2, err := r.route(&model.ChangeSet{Changes: []model.Change{
 		{Kind: model.KindAddLike, Like: model.Like{UserID: 101, CommentID: 12}},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.parked[12]; ok {
+	if parked(12) {
 		t.Fatal("comment 12 still parked after its first like")
 	}
-	if got := r.shardOf(commentKey(12)); got != likerShard {
+	if got := r.shardOf(r.comments[12]); got != likerShard {
 		t.Fatalf("comment 12 materialized on shard %d, want its liker's shard %d", got, likerShard)
-	}
-	if _, ok := r.states[likerShard].comments[12]; !ok {
-		t.Fatal("comment 12 missing from its shard's partition state")
 	}
 	if r.rebalances != 0 {
 		t.Fatalf("first like performed %d rebalances, want 0", r.rebalances)
@@ -96,6 +107,17 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 		stream[1].Kind != model.KindAddLike || stream[1].Like.CommentID != 12 {
 		t.Fatalf("materialization stream = %+v, want synthetic AddComment(12) then AddLike", stream)
 	}
+	for _, cs := range [][]model.Change{p1.q2[likerShard], stream} {
+		if _, err := engine.Update(&model.ChangeSet{Changes: cs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := engine.Extract(nil, []model.ID{12}); err != nil {
+		t.Fatalf("comment 12 missing from its shard's engine: %v", err)
+	}
+	if got := engine.Stats(); got.Comments != 1 || got.Users != 1 {
+		t.Fatalf("liker's shard engine holds %+v, want comment 12 and user 101 only", got)
+	}
 
 	// The remaining parked comment still ranks; the materialized one left
 	// the virtual partition.
@@ -109,7 +131,7 @@ func TestRouterParkedCommentLifecycle(t *testing.T) {
 // Timestamps are drawn from a small range, so ties on timestamp (decided
 // by id) are common, and unparks hit the top entry, entries deep in the
 // heap and everything in between; the heap must also hold exactly the
-// live set.
+// live set and rank each live comment's own entry.
 func TestParkedTopKMatchesBruteForce(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -118,13 +140,15 @@ func TestParkedTopKMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		var live []model.ID
+		ts := make(map[model.ID]int64)
 		next := model.ID(1)
 		for step := 0; step < 2000; step++ {
 			switch op := rng.Intn(9); {
 			case op < 5 || len(live) == 0:
 				c := model.Comment{ID: next, Timestamp: int64(rng.Intn(20)), PostID: 1}
 				next++
-				r.park(r.addNode(commentKey(c.ID), 0), c)
+				r.park(r.addNode(nodeComment, c.ID, 0), c.ID, c.Timestamp)
+				ts[c.ID] = c.Timestamp
 				live = append(live, c.ID)
 			default:
 				// Unpark the best-ranked comment half of the time.
@@ -132,7 +156,7 @@ func TestParkedTopKMatchesBruteForce(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					k = indexOf(live, r.parkedTopK()[0].ID)
 				}
-				r.unpark(r.node[commentKey(live[k])], live[k])
+				r.parkedRank.Remove(int(r.comments[live[k]]))
 				live = append(live[:k], live[k+1:]...)
 			}
 			if rng.Intn(3) == 0 {
@@ -140,14 +164,17 @@ func TestParkedTopKMatchesBruteForce(t *testing.T) {
 			}
 			want := core.NewTopK(core.TopK)
 			for _, id := range live {
-				want.Consider(core.Entry{ID: id, Timestamp: r.parked[id].Timestamp})
+				want.Consider(core.Entry{ID: id, Timestamp: ts[id]})
+				if e, ok := r.parkedRank.Get(int(r.comments[id])); !ok || e.ID != id || e.Timestamp != ts[id] {
+					t.Fatalf("seed %d step %d: parked entry of %d = %+v, %v", seed, step, id, e, ok)
+				}
 			}
 			if got, w := r.parkedTopK().String(), want.Result().String(); got != w {
 				t.Fatalf("seed %d step %d: parkedTopK = %q, brute force %q", seed, step, got, w)
 			}
-			if r.parkedRank.Len() != len(r.parked) {
+			if r.parkedRank.Len() != len(live) {
 				t.Fatalf("seed %d step %d: heap holds %d entries for %d parked",
-					seed, step, r.parkedRank.Len(), len(r.parked))
+					seed, step, r.parkedRank.Len(), len(live))
 			}
 		}
 	}
@@ -160,4 +187,28 @@ func indexOf(ids []model.ID, id model.ID) int {
 		}
 	}
 	return -1
+}
+
+// TestRouterMemoryPerNode pins that the router keeps routing state only:
+// at sf 16 the heap newRouter keeps, measured after GC, is at most 150 B
+// per union-find node (user or comment). The partition content lives in
+// the shards' engines.
+func TestRouterMemoryPerNode(t *testing.T) {
+	snap := datagen.Generate(datagen.Config{ScaleFactor: 16, Seed: 1, ChangeSets: 1}).Snapshot
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r, err := newRouter(2, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	nodes := len(snap.Users) + len(snap.Comments)
+	perNode := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(nodes)
+	t.Logf("router keeps %.1f B per node over %d nodes", perNode, nodes)
+	if perNode > 150 {
+		t.Fatalf("router keeps %.1f B per union-find node at sf 16, limit 150", perNode)
+	}
 }

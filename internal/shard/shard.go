@@ -129,8 +129,8 @@ type Runtime struct {
 // every shard's engines (in parallel across shards), and starts the
 // per-shard writers.
 func New(n int, snap *model.Snapshot) (*Runtime, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("shard: shard count must be >= 1 (got %d)", n)
+	if n < 1 || n > maxShards {
+		return nil, fmt.Errorf("shard: shard count must be in [1, %d] (got %d)", maxShards, n)
 	}
 	if snap == nil {
 		return nil, fmt.Errorf("shard: nil snapshot")
@@ -145,7 +145,7 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 		workers:        make([]*worker, n),
 		last:           make([]observation, n),
 		meta:           make([]Stats, n),
-		parkedComments: len(router.parked),
+		parkedComments: router.parkedRank.Len(),
 		merge:          core.NewMergedTopK(core.TopK),
 	}
 	for s := 0; s < n; s++ {
@@ -157,6 +157,7 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 			q2:   core.NewQ2IncrementalCC(),
 		}
 		rt.meta[s].Shard = s
+		router.engines = append(router.engines, rt.workers[s].q2)
 	}
 
 	errs := make([]error, n)
@@ -175,11 +176,12 @@ func New(n int, snap *model.Snapshot) (*Runtime, error) {
 	}
 
 	start := time.Now()
+	q1In, q2In := router.q1Cuts(snap), router.q2Cuts(snap)
 	phase(func(w *worker, s int) error {
-		if err := w.q1.Load(router.q1Snapshot(snap, s)); err != nil {
+		if err := w.q1.Load(q1In[s]); err != nil {
 			return fmt.Errorf("shard %d: %s load: %w", s, w.q1.Name(), err)
 		}
-		if err := w.q2.Load(router.q2Snapshot(s)); err != nil {
+		if err := w.q2.Load(q2In[s]); err != nil {
 			return fmt.Errorf("shard %d: %s load: %w", s, w.q2.Name(), err)
 		}
 		return nil
@@ -288,6 +290,9 @@ func (w *worker) updateQ2(changes []model.Change) error {
 // while another failed. Callers should stop committing (the serving layer
 // turns this into its broken state).
 func (rt *Runtime) Commit(cs *model.ChangeSet) (map[string]string, error) {
+	// Routing extracts migrating groups from the shards' Q2 engines. Every
+	// worker is idle here: the previous commit's barrier received each
+	// dispatched shard's response, so the engines' last writes are visible.
 	p, err := rt.router.route(cs)
 	if err != nil {
 		return nil, err
@@ -305,7 +310,7 @@ func (rt *Runtime) Commit(cs *model.ChangeSet) (map[string]string, error) {
 	var firstErr error
 	rt.mu.Lock()
 	rt.rebalances = rt.router.rebalances
-	rt.parkedComments = len(rt.router.parked)
+	rt.parkedComments = rt.router.parkedRank.Len()
 	rt.mu.Unlock()
 	for i := 0; i < active; i++ {
 		resp := <-respCh

@@ -389,6 +389,10 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(0, rebalanceFixture()); err == nil {
 		t.Error("New(0, …) succeeded, want error")
 	}
+	// Shard numbers are a byte per router node.
+	if _, err := New(maxShards+1, rebalanceFixture()); err == nil {
+		t.Errorf("New(%d, …) succeeded, want error", maxShards+1)
+	}
 	if _, err := New(2, nil); err == nil {
 		t.Error("New(2, nil) succeeded, want error")
 	}
