@@ -22,7 +22,7 @@
 //
 // Endpoints: GET /query/q1, GET /query/q2 (served by the connected-
 // components engine; ?engine=cc is an alias of it), POST /update (bodies
-// up to 4 MiB), GET /stats, GET /healthz (?probe=live). See
+// up to 4 MiB and 4096 changes), GET /stats, GET /healthz (?probe=live). See
 // internal/server for the wire format, and cmd/ttcwal for offline
 // inspection of a -data-dir.
 package main
@@ -50,8 +50,7 @@ func main() {
 		sf      = flag.Int("sf", 1, "scale factor when generating")
 		seed    = flag.Int64("seed", 2018, "generator seed when generating")
 		threads = flag.Int("threads", 1, "GraphBLAS thread count")
-		batch   = flag.Int("batch", 64, "max changes merged into one commit")
-		flush   = flag.Duration("flush", 2*time.Millisecond, "max wait for co-batched updates before committing")
+		batch   = flag.Int("batch", 64, "max changes the writer merges from already-queued requests into one commit")
 		queue   = flag.Int("queue", 256, "write queue capacity (requests)")
 		shards  = flag.Int("shards", 1, "engine shards (one writer goroutine each)")
 		replay  = flag.Bool("replay", false, "replay the dataset's change sets through the write queue at startup")
@@ -63,7 +62,7 @@ func main() {
 		compEvery = flag.Int("compact-every", 0, "compact sealed WAL segments by change key every N committed batches (0 disables; only meaningful with -data-dir)")
 	)
 	flag.Parse()
-	syncPolicy, err := validateFlags(*addr, *data, *fsync, *sf, *threads, *batch, *queue, *shards, *snapEvery, *compEvery, *flush, *fsyncIvl)
+	syncPolicy, err := validateFlags(*addr, *data, *fsync, *sf, *threads, *batch, *queue, *shards, *snapEvery, *compEvery, *fsyncIvl)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ttcserve:", err)
 		os.Exit(2)
@@ -75,7 +74,6 @@ func main() {
 		Seed:          *seed,
 		Threads:       *threads,
 		MaxBatch:      *batch,
-		FlushInterval: *flush,
 		QueueDepth:    *queue,
 		Shards:        *shards,
 		PersistDir:    *dataDir,
@@ -177,7 +175,7 @@ func newHTTPServer(addr string, handler http.Handler) *http.Server {
 
 // validateFlags rejects nonsense flag combinations with exit status 2
 // before any work happens, and resolves the fsync policy name.
-func validateFlags(addr, data, fsync string, sf, threads, batch, queue, shards, snapEvery, compEvery int, flush, fsyncIvl time.Duration) (wal.SyncPolicy, error) {
+func validateFlags(addr, data, fsync string, sf, threads, batch, queue, shards, snapEvery, compEvery int, fsyncIvl time.Duration) (wal.SyncPolicy, error) {
 	if addr == "" {
 		return 0, errors.New("-addr must not be empty")
 	}
@@ -195,9 +193,6 @@ func validateFlags(addr, data, fsync string, sf, threads, batch, queue, shards, 
 	}
 	if shards < 1 {
 		return 0, fmt.Errorf("-shards must be >= 1 (got %d)", shards)
-	}
-	if flush <= 0 {
-		return 0, fmt.Errorf("-flush must be positive (got %v)", flush)
 	}
 	policy, err := wal.ParseSyncPolicy(fsync)
 	if err != nil {

@@ -15,10 +15,10 @@ func TestValidateFlags(t *testing.T) {
 		addr, data, fsync                 string
 		sf, threads, batch, queue, shards int
 		snapEvery, compEvery              int
-		flush, fsyncIvl                   time.Duration
+		fsyncIvl                          time.Duration
 	}
 	ok := flags{addr: ":8080", fsync: "always", sf: 1, threads: 1, batch: 64,
-		queue: 256, shards: 1, snapEvery: 256, flush: time.Millisecond, fsyncIvl: time.Millisecond}
+		queue: 256, shards: 1, snapEvery: 256, fsyncIvl: time.Millisecond}
 	cases := []struct {
 		name    string
 		mut     func(*flags)
@@ -37,8 +37,6 @@ func TestValidateFlags(t *testing.T) {
 		{"zero queue", func(f *flags) { f.queue = 0 }, true},
 		{"zero shards", func(f *flags) { f.shards = 0 }, true},
 		{"negative shards", func(f *flags) { f.shards = -2 }, true},
-		{"zero flush", func(f *flags) { f.flush = 0 }, true},
-		{"negative flush", func(f *flags) { f.flush = -time.Second }, true},
 		{"bad fsync policy", func(f *flags) { f.fsync = "sometimes" }, true},
 		{"zero fsync interval", func(f *flags) { f.fsyncIvl = 0 }, true},
 		{"nondefault snapshot-every", func(f *flags) { f.snapEvery = 10 }, false},
@@ -50,7 +48,7 @@ func TestValidateFlags(t *testing.T) {
 		f := ok
 		tc.mut(&f)
 		policy, err := validateFlags(f.addr, f.data, f.fsync,
-			f.sf, f.threads, f.batch, f.queue, f.shards, f.snapEvery, f.compEvery, f.flush, f.fsyncIvl)
+			f.sf, f.threads, f.batch, f.queue, f.shards, f.snapEvery, f.compEvery, f.fsyncIvl)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: validateFlags = %v, wantErr=%v", tc.name, err, tc.wantErr)
 		}

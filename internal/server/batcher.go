@@ -29,13 +29,16 @@ func (r *updateReq) finish(err error) {
 
 // writer is the single goroutine that owns the engines, the integrity
 // checker and the materialized model state. It first replays the recovered
-// WAL tail (if any) and flips the server ready, then drains the queue into
-// batches — a batch closes when MaxBatch changes have accumulated or
-// FlushInterval has elapsed since its first request — commits each batch
-// and publishes the new snapshot. It exits when Close closes the queue,
-// after draining it. Requests enqueued during replay simply wait in the
-// queue: they commit (and their wait=1 returns) only after every recovered
-// batch is visible, preserving commit order across the restart.
+// WAL tail (if any) and flips the server ready, then group-commits: it
+// takes the first queued request, adds every request already waiting in
+// the queue without blocking, stops before the one that would take the
+// batch past MaxBatch changes (that request opens the next batch), and
+// commits at once. Requests that arrive while a commit and its fsync run
+// make up the next batch, so batches grow with load and an idle server
+// commits a lone request immediately. It exits when Close closes the
+// queue, after draining it. Requests enqueued during replay simply wait in
+// the queue: they commit (and their wait=1 returns) only after every
+// recovered batch is visible, preserving commit order across the restart.
 func (s *Server) writer(check *model.Checker, replay []wal.Batch) {
 	defer close(s.writerDone)
 	if len(replay) > 0 {
@@ -43,24 +46,38 @@ func (s *Server) writer(check *model.Checker, replay []wal.Batch) {
 			s.ready.Store(true)
 		}
 	}
-	for first := range s.updates {
+	var (
+		carry updateReq // taken from the queue; opens the next batch
+		held  bool
+	)
+	for {
+		first := carry
+		if !held {
+			var ok bool
+			if first, ok = <-s.updates; !ok {
+				return
+			}
+		}
+		held = false
 		batch := []updateReq{first}
 		n := len(first.changes)
-		timer := time.NewTimer(s.cfg.FlushInterval)
 	fill:
 		for n < s.cfg.MaxBatch {
 			select {
 			case req, ok := <-s.updates:
 				if !ok {
-					break fill // queue closed; commit what we have and exit
+					break fill // queue closed: commit what we have; the next receive exits
+				}
+				if n+len(req.changes) > s.cfg.MaxBatch {
+					carry, held = req, true // never split a request
+					break fill
 				}
 				batch = append(batch, req)
 				n += len(req.changes)
-			case <-timer.C:
-				break fill
+			default:
+				break fill // nothing else queued: commit now
 			}
 		}
-		timer.Stop()
 		s.commit(check, batch)
 	}
 }
@@ -73,6 +90,9 @@ func (s *Server) writer(check *model.Checker, replay []wal.Batch) {
 // WAL *and* visible to readers on all shards, so a waited update survives
 // a crash the instant /update returns.
 func (s *Server) commit(check *model.Checker, batch []updateReq) {
+	if h := s.cfg.commitHook; h != nil {
+		h(batch)
+	}
 	if err := s.brokenErr(); err != nil {
 		for i := range batch {
 			batch[i].finish(fmt.Errorf("%w: %w", ErrBroken, err))

@@ -3,9 +3,10 @@ package server
 import (
 	"encoding/json"
 	"testing"
-	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/model"
+	"repro/internal/wal"
 )
 
 // BenchmarkReadMergeCached measures the read hot path with and without the
@@ -16,7 +17,7 @@ import (
 // this PR. Emitted into BENCH_PR.json by the bench CI job.
 func BenchmarkReadMergeCached(b *testing.B) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 2018})
-	srv, err := New(Config{Dataset: d, FlushInterval: time.Millisecond})
+	srv, err := New(Config{Dataset: d})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,4 +51,26 @@ func BenchmarkReadMergeCached(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWaitedUpdate measures one waited update on an otherwise idle
+// persistent server: each op enqueues a one-change set and blocks until it
+// is durable (Fsync always) and published on both shards. The writer
+// commits a lone request the moment it takes it, so an op costs
+// validation, one WAL append and fsync, the shard commit and the publish.
+func BenchmarkWaitedUpdate(b *testing.B) {
+	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 2018})
+	srv, err := New(Config{Dataset: d, Shards: 2, PersistDir: b.TempDir(), Fsync: wal.SyncAlways})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ch := []model.Change{{Kind: model.KindAddUser, User: model.User{ID: model.ID(7_000_000 + i)}}}
+		if err := srv.Enqueue(ch, true); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

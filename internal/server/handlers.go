@@ -20,7 +20,8 @@ import (
 //	GET  /query/q2            Q2 top-3; ?engine=cc and ?engine=incremental
 //	                          name the same (connected-components) engine
 //	POST /update              enqueue changes; {"wait":true} blocks to commit;
-//	                          bodies over maxUpdateBody get 413
+//	                          bodies over maxUpdateBody bytes or with more
+//	                          than maxUpdateChanges changes get 413
 //	GET  /stats               per-phase latencies, engine sizes, queue depth
 //	GET  /healthz             readiness: 503 + JSON reason during startup
 //	                          WAL replay or after an engine failure, 200
@@ -257,6 +258,12 @@ type updateResponse struct {
 // the decoder allocate without bound.
 const maxUpdateBody = 4 << 20
 
+// maxUpdateChanges caps the changes in one /update request. A request is
+// one commit that is never split, so this bounds the work one client can
+// put in front of every other queued request. Enqueue itself (used by
+// -replay) is not capped.
+const maxUpdateChanges = 4096
+
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
@@ -276,6 +283,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Changes) == 0 {
 		httpError(w, http.StatusBadRequest, "no changes")
+		return
+	}
+	if len(req.Changes) > maxUpdateChanges {
+		httpError(w, http.StatusRequestEntityTooLarge, "update has %d changes, limit %d", len(req.Changes), maxUpdateChanges)
 		return
 	}
 	changes := make([]model.Change, len(req.Changes))

@@ -77,7 +77,7 @@ func testCrashRecoveryOracle(t *testing.T, shards int) {
 	// existing serving oracle test — so recovered == uninterrupted ==
 	// batch recomputation all collapse to one comparison per seq, but we
 	// record it separately to keep the acceptance criterion honest.)
-	plain, err := New(Config{Dataset: d, Shards: shards, FlushInterval: time.Millisecond})
+	plain, err := New(Config{Dataset: d, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,6 @@ func testCrashRecoveryOracle(t *testing.T, shards int) {
 		PersistDir:    dir,
 		Fsync:         wal.SyncAlways,
 		SnapshotEvery: 3, // small: restarts exercise snapshot + WAL-tail replay
-		FlushInterval: time.Millisecond,
 	}
 
 	rng := rand.New(rand.NewSource(int64(7 + shards)))
@@ -204,7 +203,6 @@ func TestCompactedWALRecoveryOracle(t *testing.T) {
 		Fsync:         wal.SyncOff,
 		SnapshotEvery: -1,  // the WAL tail is the whole history
 		segmentBytes:  512, // tiny segments: most of the history seals
-		FlushInterval: time.Millisecond,
 	}
 	srv, err := New(cfg)
 	if err != nil {
@@ -295,7 +293,6 @@ func TestServerCompactEvery(t *testing.T) {
 		SnapshotEvery: -1,
 		segmentBytes:  1024,
 		CompactEvery:  4,
-		FlushInterval: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +342,7 @@ func TestServerCompactEvery(t *testing.T) {
 
 	// The compacted directory still recovers the exact final state.
 	final := srv.Snapshot()
-	srv2, err := New(Config{Dataset: d, PersistDir: dir, Fsync: wal.SyncOff, FlushInterval: time.Millisecond})
+	srv2, err := New(Config{Dataset: d, PersistDir: dir, Fsync: wal.SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +374,6 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 		PersistDir:    dir,
 		Fsync:         wal.SyncAlways,
 		SnapshotEvery: -1, // no periodic snapshots: recovery must replay the WAL
-		FlushInterval: time.Millisecond,
 	}
 	srv, err := New(cfg)
 	if err != nil {
@@ -505,7 +501,6 @@ func TestHealthzReadinessDuringReplay(t *testing.T) {
 		PersistDir:    dir,
 		Fsync:         wal.SyncAlways,
 		SnapshotEvery: -1,
-		FlushInterval: time.Millisecond,
 	}
 	srv, err := New(cfg)
 	if err != nil {
@@ -617,7 +612,6 @@ func TestPersistentServerWritesQueuedDuringReplay(t *testing.T) {
 		PersistDir:    dir,
 		Fsync:         wal.SyncOff,
 		SnapshotEvery: -1,
-		FlushInterval: time.Millisecond,
 	}
 	srv, err := New(cfg)
 	if err != nil {
@@ -679,7 +673,7 @@ func TestReversedFriendshipSurvivesRecovery(t *testing.T) {
 	}
 	reversed := model.Friendship{User1: pair.User2, User2: pair.User1}
 
-	cfg := Config{Dataset: d, PersistDir: t.TempDir(), Fsync: wal.SyncOff, FlushInterval: time.Millisecond}
+	cfg := Config{Dataset: d, PersistDir: t.TempDir(), Fsync: wal.SyncOff}
 	// restart closes srv gracefully (final snapshot) and recovers a new
 	// server from the directory, checking that every stored friendship is
 	// canonical and counting the stored copies of pair.

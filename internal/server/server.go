@@ -7,14 +7,17 @@
 // readers always observe the result of the last committed batch, never a
 // mid-update state.
 //
-// Write path: Enqueue → buffered queue → the batching goroutine drains
-// requests into one batch (bounded by MaxBatch changes or FlushInterval,
-// whichever comes first), validates each request through the integrity
-// checker (model.Checker), then commits the merged change set through the
-// sharded runtime — one writer goroutine per shard applies its slice
-// behind a commit barrier, so the new Snapshot is published only once the
-// batch is visible on every shard and wait=1 keeps meaning "globally
-// visible". Read path: an atomic pointer load merging nothing at all —
+// Write path: Enqueue → buffered queue → the writer goroutine
+// group-commits: as soon as it is idle it takes every request already
+// queued (up to MaxBatch changes, never splitting a request) into one
+// batch, validates each request through the integrity checker
+// (model.Checker), appends the merged change set to the WAL when
+// persistence is on (fsynced under the default policy), then commits it
+// through the sharded runtime — one writer goroutine per shard applies its
+// slice behind a commit barrier, so the new Snapshot is published only
+// once the batch is in the WAL and visible on every shard, and wait=1
+// keeps meaning "durable and globally visible".
+// Read path: an atomic pointer load merging nothing at all —
 // per-shard answers were merged at commit time.
 package server
 
@@ -53,12 +56,11 @@ type Config struct {
 
 	// Threads configures grb.SetThreads for the engines. Default 1.
 	Threads int
-	// MaxBatch caps the number of changes merged into one commit; a single
-	// request is never split. Default 64.
+	// MaxBatch caps the number of changes the writer merges into one
+	// commit from the requests already queued when it turns to the next
+	// batch; it never waits for more. A single request is never split, so
+	// one larger than MaxBatch commits alone. Default 64.
 	MaxBatch int
-	// FlushInterval bounds how long a queued change waits for co-batched
-	// company before the writer commits anyway. Default 2ms.
-	FlushInterval time.Duration
 	// QueueDepth is the write queue's buffered capacity in requests.
 	// Default 256.
 	QueueDepth int
@@ -96,10 +98,13 @@ type Config struct {
 	// segments, so tests use small segments to exercise it.
 	// snapshotChunkBytes overrides the streaming encoder's chunk size and
 	// snapshotChunkHook observes every flushed chunk, for pinning down
-	// encode/commit interleavings.
+	// encode/commit interleavings. commitHook runs at the start of every
+	// live commit with the batch the writer took, so a test can hold the
+	// writer inside a commit while the queue fills.
 	segmentBytes       int64
 	snapshotChunkBytes int
 	snapshotChunkHook  func(written int)
+	commitHook         func(batch []updateReq)
 }
 
 func (c Config) withDefaults() Config {
@@ -114,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 64
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 2 * time.Millisecond
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 256
@@ -141,9 +143,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxBatch < 0 {
 		return fmt.Errorf("max batch must be >= 1 (got %d)", c.MaxBatch)
-	}
-	if c.FlushInterval < 0 {
-		return fmt.Errorf("flush interval must be positive (got %v)", c.FlushInterval)
 	}
 	if c.QueueDepth < 0 {
 		return fmt.Errorf("queue depth must be >= 1 (got %d)", c.QueueDepth)

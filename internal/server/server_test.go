@@ -93,7 +93,7 @@ func testServeConcurrentReadsWithOracle(t *testing.T, shards int) {
 	oracleQ1 := oracle(t, "Q1", d)
 	oracleQ2 := oracle(t, "Q2", d)
 
-	srv, err := New(Config{Dataset: d, FlushInterval: time.Millisecond, Shards: shards})
+	srv, err := New(Config{Dataset: d, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,10 +342,12 @@ func TestQueryEngineParam(t *testing.T) {
 	}
 }
 
-// TestUpdateBodyLimit: an /update body over maxUpdateBody is refused with
-// 413 and commits nothing, while an ordinary 64-change body still commits.
+// TestUpdateBodyLimit: an /update body over maxUpdateBody bytes, or with
+// more than maxUpdateChanges changes, is refused with 413 and commits
+// nothing, while a body with exactly maxUpdateChanges changes commits as
+// one batch.
 func TestUpdateBodyLimit(t *testing.T) {
-	srv, err := New(Config{Dataset: datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 6}), FlushInterval: time.Millisecond})
+	srv, err := New(Config{Dataset: datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 6})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,21 +379,31 @@ func TestUpdateBodyLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
+	msg, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	// The body is over the change cap too; the message tells the byte cap
+	// refused it.
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !bytes.Contains(msg, []byte("bytes")) {
+		t.Fatalf("oversized body: status %d %s, want 413 from the byte cap", resp.StatusCode, msg)
 	}
 	if got := srv.Snapshot(); got.Seq != before.Seq || got.Changes != before.Changes {
 		t.Fatalf("oversized body committed: seq %d→%d, changes %d→%d", before.Seq, got.Seq, before.Changes, got.Changes)
 	}
 
-	resp, ur := postUpdate(t, ts.URL, users(9_000_000, 64), true)
-	if resp.StatusCode != http.StatusOK || !ur.Committed || ur.Seq != before.Seq+1 {
-		t.Fatalf("64-change body: status %d, %+v; want 200, committed at seq %d", resp.StatusCode, ur, before.Seq+1)
+	resp, _ = postUpdate(t, ts.URL, users(9_000_000, maxUpdateChanges+1), true)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d changes: status %d, want 413", maxUpdateChanges+1, resp.StatusCode)
 	}
-	if got := srv.Snapshot().Changes; got != before.Changes+64 {
-		t.Fatalf("64-change body: %d changes committed, want %d", got, before.Changes+64)
+	if got := srv.Snapshot(); got.Seq != before.Seq || got.Changes != before.Changes {
+		t.Fatalf("%d changes committed: seq %d→%d, changes %d→%d", maxUpdateChanges+1, before.Seq, got.Seq, before.Changes, got.Changes)
+	}
+
+	resp, ur := postUpdate(t, ts.URL, users(9_000_000, maxUpdateChanges), true)
+	if resp.StatusCode != http.StatusOK || !ur.Committed || ur.Seq != before.Seq+1 {
+		t.Fatalf("%d changes: status %d, %+v; want 200, committed at seq %d", maxUpdateChanges, resp.StatusCode, ur, before.Seq+1)
+	}
+	if got := srv.Snapshot().Changes; got != before.Changes+maxUpdateChanges {
+		t.Fatalf("%d changes committed, want %d", got-before.Changes, maxUpdateChanges)
 	}
 }
 
@@ -415,14 +427,16 @@ func TestNewRejectsInvalidBaseDataset(t *testing.T) {
 	}
 }
 
-// TestBatching exercises the fire-and-forget path: many small requests
-// merge into few commits, and a final waited request flushes everything
-// (FIFO order guarantees all earlier requests are committed by then).
+// TestBatching exercises the fire-and-forget path: a final waited request
+// flushes everything queued before it (FIFO order guarantees all earlier
+// requests are committed by then), and no commit merges more than
+// MaxBatch changes, so single-change requests need at least
+// ⌈requests/MaxBatch⌉ commits. TestGroupCommit pins the exact count.
 func TestBatching(t *testing.T) {
+	const maxBatch = 8
 	srv, err := New(Config{
-		Dataset:       datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 11}),
-		MaxBatch:      8,
-		FlushInterval: 50 * time.Millisecond,
+		Dataset:  datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 11}),
+		MaxBatch: maxBatch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -447,8 +461,106 @@ func TestBatching(t *testing.T) {
 	if snap.Changes != n+1 {
 		t.Errorf("committed %d changes, want %d", snap.Changes, n+1)
 	}
-	if snap.Seq > n+1 {
-		t.Errorf("used %d commits for %d requests; batching is not merging", snap.Seq, n+1)
+	if least := (n + 1 + maxBatch - 1) / maxBatch; snap.Seq < least || snap.Seq > n+1 {
+		t.Errorf("used %d commits for %d single-change requests, want %d..%d", snap.Seq, n+1, least, n+1)
+	}
+}
+
+// TestGroupCommit holds the writer inside one commit while requests queue
+// behind it, then checks how it groups them. Each batch takes every queued
+// request in order until the next would pass MaxBatch changes, so k
+// single-change requests commit in exactly ⌈k/MaxBatch⌉ commits, a
+// request larger than MaxBatch commits alone and whole, and the final
+// waited request observes every earlier change.
+func TestGroupCommit(t *testing.T) {
+	const maxBatch, k, big = 4, 10, 6
+	var (
+		mu      sync.Mutex
+		batches [][]int // per commit, the change count of each request
+	)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	srv, err := New(Config{
+		Dataset:    datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 12}),
+		MaxBatch:   maxBatch,
+		QueueDepth: 32,
+		Shards:     2,
+		commitHook: func(batch []updateReq) {
+			sizes := make([]int, len(batch))
+			for i := range batch {
+				sizes[i] = len(batch[i].changes)
+			}
+			mu.Lock()
+			batches = append(batches, sizes)
+			first := len(batches) == 1
+			mu.Unlock()
+			if first {
+				close(entered)
+				<-release
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	defer free() // runs before Close, so a failed check never leaves the writer held
+
+	id := model.ID(810_000)
+	users := func(n int) []model.Change {
+		out := make([]model.Change, n)
+		for i := range out {
+			out[i] = model.Change{Kind: model.KindAddUser, User: model.User{ID: id}}
+			id++
+		}
+		return out
+	}
+	enqueue := func(changes []model.Change) {
+		t.Helper()
+		if err := srv.Enqueue(changes, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	enqueue(users(1)) // the commit the writer is held in
+	<-entered
+	for i := 0; i < k; i++ {
+		enqueue(users(1))
+	}
+	enqueue(users(big))
+	enqueue(users(1))
+	last := users(1)
+	waited := make(chan error, 1)
+	go func() { waited <- srv.Enqueue(last, true) }()
+	queued := k + 3
+	for deadline := time.Now().Add(10 * time.Second); srv.QueueDepth() < queued; {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want %d", srv.QueueDepth(), queued)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	free()
+	if err := <-waited; err != nil {
+		t.Fatalf("waited enqueue: %v", err)
+	}
+
+	want := [][]int{
+		{1},                                // held
+		{1, 1, 1, 1}, {1, 1, 1, 1}, {1, 1}, // k singles: ⌈k/MaxBatch⌉ commits
+		{big},  // alone and whole
+		{1, 1}, // the next single and the waited request
+	}
+	mu.Lock()
+	got := fmt.Sprint(batches)
+	mu.Unlock()
+	if got != fmt.Sprint(want) {
+		t.Errorf("batches %s, want %s", got, fmt.Sprint(want))
+	}
+	snap := srv.Snapshot()
+	if total := 1 + k + big + 2; snap.Changes != total || snap.Seq != len(want) {
+		t.Errorf("waited request sees seq %d with %d changes, want seq %d with %d", snap.Seq, snap.Changes, len(want), total)
 	}
 }
 
@@ -459,10 +571,9 @@ func TestBatching(t *testing.T) {
 // timeout) if Enqueue sends while holding it.
 func TestBackpressureDoesNotDeadlock(t *testing.T) {
 	srv, err := New(Config{
-		Dataset:       datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 5}),
-		QueueDepth:    1,
-		MaxBatch:      4,
-		FlushInterval: time.Millisecond,
+		Dataset:    datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 5}),
+		QueueDepth: 1,
+		MaxBatch:   4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -551,11 +662,10 @@ func TestBackpressureDoesNotDeadlock(t *testing.T) {
 func TestCloseDuringWaitedEnqueue(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		srv, err := New(Config{
-			Dataset:       datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 21}),
-			QueueDepth:    1,
-			MaxBatch:      4,
-			FlushInterval: time.Millisecond,
-			Shards:        2,
+			Dataset:    datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 21}),
+			QueueDepth: 1,
+			MaxBatch:   4,
+			Shards:     2,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/model"
@@ -85,7 +84,6 @@ func testCommitsDuringSnapshotEncode(t *testing.T, shards int) {
 		PersistDir:         dir,
 		Fsync:              wal.SyncOff,
 		SnapshotEvery:      snapEvery,
-		FlushInterval:      time.Millisecond,
 		snapshotChunkBytes: 1024, // many chunks, so the gate holds the encode open
 		snapshotChunkHook: func(int) {
 			if !released() {
@@ -170,7 +168,7 @@ func testCommitsDuringSnapshotEncode(t *testing.T, shards int) {
 
 	// Restart: recovery from the streamed snapshots + WAL tail must serve
 	// byte-identical answers.
-	srv2, err := New(Config{Dataset: d, Shards: shards, PersistDir: dir, Fsync: wal.SyncOff, FlushInterval: time.Millisecond})
+	srv2, err := New(Config{Dataset: d, Shards: shards, PersistDir: dir, Fsync: wal.SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +193,7 @@ func testCommitsDuringSnapshotEncode(t *testing.T, shards int) {
 // a commit publishes a new snapshot, which is the invalidation.
 func TestQueryBodyEpochCache(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 8})
-	srv, err := New(Config{Dataset: d, FlushInterval: time.Millisecond})
+	srv, err := New(Config{Dataset: d})
 	if err != nil {
 		t.Fatal(err)
 	}
