@@ -13,9 +13,9 @@
 // log and the model state is snapshotted periodically, so a restart (or
 // crash) recovers the full committed history from disk instead of
 // replaying the dataset; /healthz answers 503 until that recovery replay
-// has committed. -compact-every N additionally rewrites sealed log
-// segments every N commits under change-key supersession (add+remove
-// pairs net out), bounding replay to the history's net effect.
+// has committed. A snapshot every -snapshot-every commits lets the log
+// drop the sealed segments older snapshots cover, so replay stays bounded
+// by that cadence.
 // On SIGINT/SIGTERM the server shuts down gracefully: it
 // stops accepting requests, drains the write queue, flushes + fsyncs the
 // WAL, writes a final snapshot, and exits 0.
@@ -59,10 +59,9 @@ func main() {
 		fsync     = flag.String("fsync", "always", "WAL fsync policy: always, interval or off")
 		fsyncIvl  = flag.Duration("fsync-interval", 100*time.Millisecond, "flush period for -fsync interval")
 		snapEvery = flag.Int("snapshot-every", 256, "write a durable snapshot every N committed batches (negative disables periodic snapshots; only meaningful with -data-dir)")
-		compEvery = flag.Int("compact-every", 0, "compact sealed WAL segments by change key every N committed batches (0 disables; only meaningful with -data-dir)")
 	)
 	flag.Parse()
-	syncPolicy, err := validateFlags(*addr, *data, *fsync, *sf, *threads, *batch, *queue, *shards, *snapEvery, *compEvery, *fsyncIvl)
+	syncPolicy, err := validateFlags(*addr, *data, *fsync, *sf, *threads, *batch, *queue, *shards, *snapEvery, *fsyncIvl)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ttcserve:", err)
 		os.Exit(2)
@@ -80,7 +79,6 @@ func main() {
 		Fsync:         syncPolicy,
 		FsyncInterval: *fsyncIvl,
 		SnapshotEvery: *snapEvery,
-		CompactEvery:  *compEvery,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ttcserve:", err)
@@ -175,7 +173,7 @@ func newHTTPServer(addr string, handler http.Handler) *http.Server {
 
 // validateFlags rejects nonsense flag combinations with exit status 2
 // before any work happens, and resolves the fsync policy name.
-func validateFlags(addr, data, fsync string, sf, threads, batch, queue, shards, snapEvery, compEvery int, fsyncIvl time.Duration) (wal.SyncPolicy, error) {
+func validateFlags(addr, data, fsync string, sf, threads, batch, queue, shards, snapEvery int, fsyncIvl time.Duration) (wal.SyncPolicy, error) {
 	if addr == "" {
 		return 0, errors.New("-addr must not be empty")
 	}
@@ -203,9 +201,6 @@ func validateFlags(addr, data, fsync string, sf, threads, batch, queue, shards, 
 	}
 	if snapEvery == 0 {
 		return 0, errors.New("-snapshot-every must be nonzero (negative disables periodic snapshots)")
-	}
-	if compEvery < 0 {
-		return 0, fmt.Errorf("-compact-every must be >= 0 (got %d; 0 disables)", compEvery)
 	}
 	return policy, nil
 }

@@ -14,7 +14,7 @@ func TestValidateFlags(t *testing.T) {
 	type flags struct {
 		addr, data, fsync                 string
 		sf, threads, batch, queue, shards int
-		snapEvery, compEvery              int
+		snapEvery                         int
 		fsyncIvl                          time.Duration
 	}
 	ok := flags{addr: ":8080", fsync: "always", sf: 1, threads: 1, batch: 64,
@@ -41,14 +41,12 @@ func TestValidateFlags(t *testing.T) {
 		{"zero fsync interval", func(f *flags) { f.fsyncIvl = 0 }, true},
 		{"nondefault snapshot-every", func(f *flags) { f.snapEvery = 10 }, false},
 		{"zero snapshot-every", func(f *flags) { f.snapEvery = 0 }, true},
-		{"ok compact-every", func(f *flags) { f.compEvery = 64 }, false},
-		{"negative compact-every", func(f *flags) { f.compEvery = -1 }, true},
 	}
 	for _, tc := range cases {
 		f := ok
 		tc.mut(&f)
 		policy, err := validateFlags(f.addr, f.data, f.fsync,
-			f.sf, f.threads, f.batch, f.queue, f.shards, f.snapEvery, f.compEvery, f.fsyncIvl)
+			f.sf, f.threads, f.batch, f.queue, f.shards, f.snapEvery, f.fsyncIvl)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: validateFlags = %v, wantErr=%v", tc.name, err, tc.wantErr)
 		}

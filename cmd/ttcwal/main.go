@@ -1,23 +1,16 @@
-// Command ttcwal inspects and maintains a ttcserve durability directory
-// (-data-dir) offline: it lists snapshot and write-ahead-log segment files,
-// verifies every record's checksum and framing, can dump the committed
-// batches, and can compact sealed segments by change key (superseded
-// add+remove pairs drop out of the replay history; sequence numbers and the
-// newest — active — segment are preserved). Inspection never modifies the
-// directory; -compact rewrites sealed segments atomically and must only run
-// while no server is using the directory.
+// Command ttcwal inspects a ttcserve durability directory (-data-dir)
+// offline: it lists snapshot and write-ahead-log segment files, verifies
+// every record's checksum and framing, and can dump the committed batches.
+// It never modifies the directory.
 //
 // Usage:
 //
-//	ttcwal -dir /var/lib/ttc                  # summary + per-file health
-//	ttcwal -dir /var/lib/ttc -dump            # print every committed batch
-//	ttcwal -dir /var/lib/ttc -q               # exit status only (for scripts)
-//	ttcwal -dir /var/lib/ttc -compact-dry-run # measure what compaction would save
-//	ttcwal -dir /var/lib/ttc -compact         # compact sealed segments
+//	ttcwal -dir /var/lib/ttc        # summary + per-file health
+//	ttcwal -dir /var/lib/ttc -dump  # print every committed batch
+//	ttcwal -dir /var/lib/ttc -q     # exit status only (for scripts)
 //
-// Exit status: 0 when the directory is clean (or compaction succeeded),
-// 1 when any file is damaged or the committed history has a gap, 2 on bad
-// flags.
+// Exit status: 0 when the directory is clean, 1 when any file is damaged
+// or the committed history has a gap, 2 on bad flags.
 package main
 
 import (
@@ -31,11 +24,9 @@ import (
 
 func main() {
 	var (
-		dir     = flag.String("dir", "", "durability directory written by ttcserve -data-dir")
-		dump    = flag.Bool("dump", false, "print every committed batch (seq, change kinds)")
-		quiet   = flag.Bool("q", false, "suppress the report; exit status only")
-		compact = flag.Bool("compact", false, "compact sealed segments by change key (server must not be running)")
-		dryRun  = flag.Bool("compact-dry-run", false, "report what -compact would supersede without modifying anything")
+		dir   = flag.String("dir", "", "durability directory written by ttcserve -data-dir")
+		dump  = flag.Bool("dump", false, "print every committed batch (seq, change kinds)")
+		quiet = flag.Bool("q", false, "suppress the report; exit status only")
 	)
 	flag.Parse()
 	if *dir == "" {
@@ -45,24 +36,6 @@ func main() {
 	if *dump && *quiet {
 		fmt.Fprintln(os.Stderr, "ttcwal: -dump and -q are mutually exclusive")
 		os.Exit(2)
-	}
-	if *compact && *dryRun {
-		fmt.Fprintln(os.Stderr, "ttcwal: -compact and -compact-dry-run are mutually exclusive")
-		os.Exit(2)
-	}
-	if (*compact || *dryRun) && (*dump || *quiet) {
-		fmt.Fprintln(os.Stderr, "ttcwal: compaction and inspection flags are mutually exclusive")
-		os.Exit(2)
-	}
-
-	if *compact || *dryRun {
-		rep, err := wal.CompactDir(*dir, *dryRun)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ttcwal:", err)
-			os.Exit(1)
-		}
-		printCompaction(rep)
-		return
 	}
 
 	var visit func(segment string, offset int64, b wal.Batch)
@@ -82,25 +55,6 @@ func main() {
 	}
 	if rep.Damaged() {
 		os.Exit(1)
-	}
-}
-
-// printCompaction renders a compaction (or dry-run) report: how much of
-// the sealed history — split insertions vs removals, the distinction
-// model.ChangeSet.InsertCount/RemovalCount draws — survived change-key
-// supersession.
-func printCompaction(rep wal.CompactionReport) {
-	verb := "compacted"
-	if rep.DryRun {
-		verb = "would compact"
-	}
-	fmt.Printf("%s %d of %d sealed segment(s), %d batch(es)\n",
-		verb, rep.CompactedSegments, rep.SealedSegments, rep.Batches)
-	fmt.Printf("  changes:  %d -> %d (inserts %d -> %d, removals %d -> %d)\n",
-		rep.ChangesIn, rep.ChangesOut, rep.InsertsIn, rep.InsertsOut, rep.RemovalsIn, rep.RemovalsOut)
-	fmt.Printf("  bytes:    %d -> %d (%d reclaimed)\n", rep.BytesIn, rep.BytesOut, rep.BytesIn-rep.BytesOut)
-	if rep.SealedSegments == 0 {
-		fmt.Println("  (nothing sealed: the newest segment is always left for the server)")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/wal"
 )
 
 // TestSummarizeChanges doubles as the build-level smoke test: having any
@@ -22,14 +21,4 @@ func TestSummarizeChanges(t *testing.T) {
 	if got := summarizeChanges(nil); got != "" {
 		t.Errorf("summarizeChanges(nil) = %q, want empty", got)
 	}
-}
-
-// TestPrintCompaction smoke-tests the report renderer on both pass shapes.
-func TestPrintCompaction(t *testing.T) {
-	printCompaction(wal.CompactionReport{})
-	printCompaction(wal.CompactionReport{
-		DryRun: true, SealedSegments: 3, CompactedSegments: 2, Batches: 40,
-		ChangesIn: 100, ChangesOut: 60, InsertsIn: 70, InsertsOut: 55,
-		RemovalsIn: 30, RemovalsOut: 5, BytesIn: 4096, BytesOut: 2048,
-	})
 }

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -45,133 +44,6 @@ func TestNormalizeOrdersFriendshipEndpoints(t *testing.T) {
 	}
 	if cs.Changes[2].Like != (Like{UserID: 9, CommentID: 2}) {
 		t.Fatal("normalize touched a like")
-	}
-}
-
-func TestCompactSupersedesAddRemovePairs(t *testing.T) {
-	cs := &ChangeSet{Changes: []Change{
-		{Kind: KindAddUser, User: User{ID: 1}},
-		{Kind: KindAddLike, Like: Like{UserID: 1, CommentID: 10}}, // add…
-		{Kind: KindAddFriendship, Friendship: Friendship{User1: 1, User2: 2}},
-		{Kind: KindRemoveLike, Like: Like{UserID: 1, CommentID: 10}},             // …remove: nets out
-		{Kind: KindRemoveFriendship, Friendship: Friendship{User1: 2, User2: 1}}, // reversed spelling: nets out
-		{Kind: KindAddLike, Like: Like{UserID: 1, CommentID: 11}},                // survives
-	}}
-	cs.Compact()
-	want := []Change{
-		{Kind: KindAddUser, User: User{ID: 1}},
-		{Kind: KindAddLike, Like: Like{UserID: 1, CommentID: 11}},
-	}
-	if !reflect.DeepEqual(cs.Changes, want) {
-		t.Fatalf("compacted to %+v, want %+v", cs.Changes, want)
-	}
-}
-
-func TestCompactNetEffectTable(t *testing.T) {
-	like := func(kind ChangeKind) Change { return Change{Kind: kind, Like: Like{UserID: 1, CommentID: 2}} }
-	cases := []struct {
-		name string
-		in   []ChangeKind
-		want []ChangeKind // surviving kinds for the key
-	}{
-		{"add", []ChangeKind{KindAddLike}, []ChangeKind{KindAddLike}},
-		{"add-remove", []ChangeKind{KindAddLike, KindRemoveLike}, nil},
-		{"remove-add", []ChangeKind{KindRemoveLike, KindAddLike}, nil},
-		{"remove", []ChangeKind{KindRemoveLike}, []ChangeKind{KindRemoveLike}},
-		{"add-remove-add", []ChangeKind{KindAddLike, KindRemoveLike, KindAddLike}, []ChangeKind{KindAddLike}},
-		{"remove-add-remove", []ChangeKind{KindRemoveLike, KindAddLike, KindRemoveLike}, []ChangeKind{KindRemoveLike}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cs := &ChangeSet{}
-			for _, k := range tc.in {
-				cs.Changes = append(cs.Changes, like(k))
-			}
-			cs.Compact()
-			var got []ChangeKind
-			for i := range cs.Changes {
-				got = append(got, cs.Changes[i].Kind)
-			}
-			if !reflect.DeepEqual(got, tc.want) {
-				t.Fatalf("compact(%v) = %v, want %v", tc.in, got, tc.want)
-			}
-		})
-	}
-}
-
-func TestCompactKeepsNodesAheadOfTheirEdges(t *testing.T) {
-	cs := &ChangeSet{Changes: []Change{
-		{Kind: KindAddUser, User: User{ID: 1}},
-		{Kind: KindAddLike, Like: Like{UserID: 1, CommentID: 10}},
-		{Kind: KindRemoveLike, Like: Like{UserID: 1, CommentID: 10}},
-		{Kind: KindAddUser, User: User{ID: 1}}, // synthetic duplicate
-		{Kind: KindAddLike, Like: Like{UserID: 1, CommentID: 10}},
-	}}
-	cs.Compact()
-	want := []Change{
-		{Kind: KindAddUser, User: User{ID: 1}},
-		{Kind: KindAddLike, Like: Like{UserID: 1, CommentID: 10}},
-	}
-	if !reflect.DeepEqual(cs.Changes, want) {
-		t.Fatalf("compacted to %+v, want %+v", cs.Changes, want)
-	}
-}
-
-// TestCompactPreservesAppliedState drives a randomized valid-ish history and
-// checks the invariant compaction promises: applying the compacted set to
-// any base snapshot yields the same final state as applying the original.
-func TestCompactPreservesAppliedState(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		base := &Snapshot{
-			Posts:    []Post{{ID: 1}},
-			Comments: []Comment{{ID: 10, ParentID: 1, PostID: 1}, {ID: 11, ParentID: 1, PostID: 1}},
-			Users:    []User{{ID: 100}, {ID: 101}, {ID: 102}},
-		}
-		// Track live edges so the generated history stays valid (no double
-		// adds, no removals of absent edges) — the regime Compact documents.
-		liveF := map[ChangeKey]Friendship{}
-		liveL := map[ChangeKey]Like{}
-		var cs ChangeSet
-		for i := 0; i < 60; i++ {
-			if rng.Intn(2) == 0 {
-				f := Friendship{User1: 100 + ID(rng.Intn(3)), User2: 100 + ID(rng.Intn(3))}
-				if f.User1 == f.User2 {
-					continue
-				}
-				ch := Change{Kind: KindAddFriendship, Friendship: f}
-				if _, ok := liveF[ch.Key()]; ok {
-					ch.Kind = KindRemoveFriendship
-					delete(liveF, ch.Key())
-				} else {
-					liveF[ch.Key()] = f
-				}
-				cs.Changes = append(cs.Changes, ch)
-			} else {
-				l := Like{UserID: 100 + ID(rng.Intn(3)), CommentID: 10 + ID(rng.Intn(2))}
-				ch := Change{Kind: KindAddLike, Like: l}
-				if _, ok := liveL[ch.Key()]; ok {
-					ch.Kind = KindRemoveLike
-					delete(liveL, ch.Key())
-				} else {
-					liveL[ch.Key()] = l
-				}
-				cs.Changes = append(cs.Changes, ch)
-			}
-		}
-		plain := base.Clone()
-		plain.Apply(&cs)
-		compacted := &ChangeSet{Changes: append([]Change(nil), cs.Changes...)}
-		compacted.Compact()
-		if compacted.Size() > cs.Size() {
-			t.Fatalf("trial %d: compaction grew the set (%d -> %d)", trial, cs.Size(), compacted.Size())
-		}
-		viaCompact := base.Clone()
-		viaCompact.Apply(compacted)
-		if !sameEdgeSets(plain, viaCompact) {
-			t.Fatalf("trial %d: compacted replay diverged\noriginal:  %+v %+v\ncompacted: %+v %+v",
-				trial, plain.Friendships, plain.Likes, viaCompact.Friendships, viaCompact.Likes)
-		}
 	}
 }
 

@@ -155,19 +155,6 @@ func (s *Server) commit(check *model.Checker, batch []updateReq) {
 	if s.wal != nil && s.cfg.SnapshotEvery > 0 && seq%s.cfg.SnapshotEvery == 0 {
 		s.snapshotDurable(seq)
 	}
-	// Compaction cadence: supersede add+remove churn in the sealed WAL
-	// segments. Like snapshots it runs after the acks, and a failure only
-	// means the history replays longer.
-	if s.wal != nil && s.cfg.CompactEvery > 0 && seq%s.cfg.CompactEvery == 0 {
-		rep, err := s.wal.Compact()
-		s.mu.Lock()
-		if err != nil {
-			s.compactErrs++
-		} else {
-			s.lastCompaction = &rep
-		}
-		s.mu.Unlock()
-	}
 }
 
 // replayWAL redoes the recovered log tail through the engines before any

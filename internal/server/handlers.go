@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/grb"
 	"repro/internal/model"
-	"repro/internal/wal"
 )
 
 // The HTTP API:
@@ -392,16 +391,6 @@ type persistStatsJSON struct {
 	SkippedSnapshots    int   `json:"skippedSnapshots"`
 	CowClones           int   `json:"cowClones"`
 
-	// Change-key compaction of sealed WAL segments (ttcserve
-	// -compact-every; see internal/wal).
-	Compactions      int64 `json:"compactions"`
-	CompactedSegs    int64 `json:"compactedSegments"`
-	CompactedBytes   int64 `json:"compactedBytes"`
-	CompactionErrors int   `json:"compactionErrors"`
-	// LastCompaction summarizes the most recent pass: how much of the
-	// scanned history (split by inserts vs removals) survived supersession.
-	LastCompaction *wal.CompactionReport `json:"lastCompaction,omitempty"`
-
 	Recovered bool `json:"recovered"`
 	Recovery  struct {
 		SnapshotSeq     int        `json:"snapshotSeq"`
@@ -455,8 +444,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	recovery := s.recovery
 	lastSnapDur := s.lastSnapDur
 	snapErrs := s.snapErrs
-	lastCompaction := s.lastCompaction
-	compactErrs := s.compactErrs
 	lastSnapStall := s.lastSnapStall
 	maxSnapStall := s.maxSnapStall
 	snapStreams := s.snapStreams
@@ -524,15 +511,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			StreamedSnapshots:   snapStreams,
 			SkippedSnapshots:    snapSkips,
 			CowClones:           cowClones,
-			Compactions:         wm.Compactions,
-			CompactedSegs:       wm.CompactedSegs,
-			CompactedBytes:      wm.CompactedBytes,
-			CompactionErrors:    compactErrs,
 			Recovered:           s.recovered,
-		}
-		if lastCompaction != nil {
-			lc := *lastCompaction
-			p.LastCompaction = &lc
 		}
 		p.Recovery.SnapshotSeq = recovery.SnapshotSeq
 		p.Recovery.ReplayedBatches = recovery.ReplayedBatches

@@ -163,43 +163,21 @@ func testCrashRecoveryOracle(t *testing.T, shards int) {
 	t.Logf("shards=%d: %d change sets across %d crash/restart cycles, all answers oracle-identical", shards, n, restarts)
 }
 
-// copyDataDir duplicates a durability directory for compacted-vs-plain
-// recovery comparisons.
-func copyDataDir(t *testing.T, src string) string {
-	t.Helper()
-	dst := t.TempDir()
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dst
-}
-
-// TestCompactedWALRecoveryOracle is the tentpole's durability acceptance
-// test: a crashed server's WAL is compacted offline by change key, and
-// recovery over the compacted history must serve answers identical to
-// recovery over an untouched copy — and to the batch oracle — even though
-// the compacted log replays fewer changes.
-func TestCompactedWALRecoveryOracle(t *testing.T) {
+// TestMultiSegmentRecoveryOracle crashes a server whose WAL holds its
+// whole history (no snapshots) spread over many small sealed segments, and
+// proves recovery replays across every segment boundary to the pre-crash
+// state — which is also the batch oracle's at n. It also pins the /stats
+// insert/removal split on a removal-heavy stream.
+func TestMultiSegmentRecoveryOracle(t *testing.T) {
 	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 21, RemovalFraction: 0.35})
 	oracleQ1 := oracle(t, "Q1", d)
 	oracleQ2 := oracle(t, "Q2", d)
 	n := len(d.ChangeSets)
 
-	dir := t.TempDir()
 	cfg := Config{
 		Dataset:       d,
 		Shards:        2,
-		PersistDir:    dir,
+		PersistDir:    t.TempDir(),
 		Fsync:         wal.SyncOff,
 		SnapshotEvery: -1,  // the WAL tail is the whole history
 		segmentBytes:  512, // tiny segments: most of the history seals
@@ -213,10 +191,9 @@ func TestCompactedWALRecoveryOracle(t *testing.T) {
 			t.Fatalf("change set %d: %v", k, err)
 		}
 	}
-	// Deterministic like churn on one edge: consecutive add/remove batches
-	// land in the same segments, guaranteeing supersession has work even
-	// when the dataset's own removals straddle segment boundaries. The
-	// churn count is even, so the final state matches the oracle at n.
+	// Deterministic like churn on one edge, so the replayed history holds
+	// add/remove pairs of the same key in consecutive batches. The churn
+	// count is even, so the final state matches the oracle at n.
 	u := d.Snapshot.Users[0].ID
 	c := d.Snapshot.Comments[0].ID
 	const churn = 60
@@ -230,108 +207,12 @@ func TestCompactedWALRecoveryOracle(t *testing.T) {
 			t.Fatalf("churn %d: %v", i, err)
 		}
 	}
-	final := srv.Snapshot()
-	srv.crash()
 
-	plainDir := copyDataDir(t, dir)
-	rep, err := wal.CompactDir(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.CompactedSegments == 0 || rep.ChangesOut >= rep.ChangesIn {
-		t.Fatalf("compaction had no effect on the history: %+v", rep)
-	}
-
-	recover := func(label, dataDir string) *Snapshot {
-		c := cfg
-		c.PersistDir = dataDir
-		s, err := New(c)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		defer s.Close()
-		waitReady(t, s)
-		if !s.Recovered() {
-			t.Fatalf("%s: server did not recover from the durability directory", label)
-		}
-		return s.Snapshot()
-	}
-	compacted := recover("compacted recovery", dir)
-	plain := recover("plain recovery", plainDir)
-
-	if compacted.Seq != final.Seq || plain.Seq != final.Seq {
-		t.Fatalf("recovered seqs %d (compacted) / %d (plain), want %d", compacted.Seq, plain.Seq, final.Seq)
-	}
-	for _, key := range []string{EngineQ1, EngineQ2} {
-		if compacted.Results[key] != plain.Results[key] {
-			t.Fatalf("engine %s: compacted recovery %q differs from plain recovery %q",
-				key, compacted.Results[key], plain.Results[key])
-		}
-		if compacted.Results[key] != final.Results[key] {
-			t.Fatalf("engine %s: compacted recovery %q differs from pre-crash state %q",
-				key, compacted.Results[key], final.Results[key])
-		}
-	}
-	// The even churn nets out, so the final answers are the oracle's at n.
-	if compacted.Results[EngineQ1] != oracleQ1[n] || compacted.Results[EngineQ2] != oracleQ2[n] {
-		t.Fatalf("compacted recovery (q1=%q q2=%q) diverges from the batch oracle (q1=%q q2=%q)",
-			compacted.Results[EngineQ1], compacted.Results[EngineQ2], oracleQ1[n], oracleQ2[n])
-	}
-	t.Logf("compacted %d→%d changes across %d sealed segments (%d→%d bytes); recovery oracle-identical",
-		rep.ChangesIn, rep.ChangesOut, rep.SealedSegments, rep.BytesIn, rep.BytesOut)
-}
-
-// TestServerCompactEvery wires the cadence: with -compact-every the writer
-// compacts sealed segments as it goes, and /stats reports the passes.
-func TestServerCompactEvery(t *testing.T) {
-	d := datagen.Generate(datagen.Config{ScaleFactor: 1, Seed: 5})
-	dir := t.TempDir()
-	srv, err := New(Config{
-		Dataset:       d,
-		PersistDir:    dir,
-		Fsync:         wal.SyncOff,
-		SnapshotEvery: -1,
-		segmentBytes:  1024,
-		CompactEvery:  4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := d.Snapshot.Users[0].ID
-	c := d.Snapshot.Comments[0].ID
-	for i := 0; i < 64; i++ {
-		kind := model.KindAddLike
-		if i%2 == 1 {
-			kind = model.KindRemoveLike
-		}
-		ch := model.Change{Kind: kind, Like: model.Like{UserID: u, CommentID: c}}
-		if err := srv.Enqueue([]model.Change{ch}, true); err != nil {
-			t.Fatalf("churn %d: %v", i, err)
-		}
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
 	var stats statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	if err := json.NewDecoder(rec.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
-	}
-	resp.Body.Close()
-	srv.Close()
-	if stats.Persistence == nil {
-		t.Fatal("stats.persistence missing")
-	}
-	if stats.Persistence.Compactions == 0 {
-		t.Fatal("compact-every cadence never compacted")
-	}
-	if stats.Persistence.CompactedSegs == 0 || stats.Persistence.CompactedBytes <= 0 {
-		t.Fatalf("compaction reclaimed nothing: %+v", stats.Persistence)
-	}
-	if stats.Persistence.LastCompaction == nil {
-		t.Fatal("stats.persistence.lastCompaction missing after a pass")
 	}
 	if stats.Inserts == 0 || stats.Removals == 0 {
 		t.Fatalf("insert/removal split not tracked: inserts=%d removals=%d", stats.Inserts, stats.Removals)
@@ -339,20 +220,39 @@ func TestServerCompactEvery(t *testing.T) {
 	if stats.Inserts+stats.Removals != stats.Changes {
 		t.Fatalf("inserts(%d)+removals(%d) != changes(%d)", stats.Inserts, stats.Removals, stats.Changes)
 	}
+	if stats.Persistence == nil || stats.Persistence.WalSegments < 4 {
+		t.Fatalf("history not spread over many segments: %+v", stats.Persistence)
+	}
+	segments := stats.Persistence.WalSegments
 
-	// The compacted directory still recovers the exact final state.
 	final := srv.Snapshot()
-	srv2, err := New(Config{Dataset: d, PersistDir: dir, Fsync: wal.SyncOff})
+	srv.crash()
+
+	rs, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv2.Close()
-	waitReady(t, srv2)
+	defer rs.Close()
+	waitReady(t, rs)
+	if !rs.Recovered() {
+		t.Fatal("server did not recover from the durability directory")
+	}
+	got := rs.Snapshot()
+	if got.Seq != final.Seq {
+		t.Fatalf("recovered seq %d, want %d", got.Seq, final.Seq)
+	}
 	for _, key := range []string{EngineQ1, EngineQ2} {
-		if got := srv2.Snapshot().Results[key]; got != final.Results[key] {
-			t.Fatalf("engine %s after restart: %q, want %q", key, got, final.Results[key])
+		if got.Results[key] != final.Results[key] {
+			t.Fatalf("engine %s: recovered %q differs from pre-crash state %q",
+				key, got.Results[key], final.Results[key])
 		}
 	}
+	// The even churn nets out, so the final answers are the oracle's at n.
+	if got.Results[EngineQ1] != oracleQ1[n] || got.Results[EngineQ2] != oracleQ2[n] {
+		t.Fatalf("recovery (q1=%q q2=%q) diverges from the batch oracle (q1=%q q2=%q)",
+			got.Results[EngineQ1], got.Results[EngineQ2], oracleQ1[n], oracleQ2[n])
+	}
+	t.Logf("replayed %d batches across %d segments; recovery oracle-identical", final.Seq, segments)
 }
 
 // TestRecoveryTruncatesTornTail writes a workload, crashes, tears the last

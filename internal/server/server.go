@@ -86,16 +86,10 @@ type Config struct {
 	// (bounding recovery replay to N batches). Default 256; negative
 	// disables periodic snapshots (Close still writes a final one).
 	SnapshotEvery int
-	// CompactEvery runs change-key compaction over the WAL's sealed
-	// segments every N committed batches (see internal/wal: superseded
-	// add+remove pairs drop out of the replay history, record sequence
-	// numbers survive). 0 disables compaction; only meaningful with
-	// PersistDir.
-	CompactEvery int
 
 	// Test hooks (same package only). segmentBytes overrides the WAL's
-	// segment rotation threshold: compaction only ever works on sealed
-	// segments, so tests use small segments to exercise it.
+	// segment rotation threshold, so tests can spread a short history over
+	// many sealed segments.
 	// snapshotChunkBytes overrides the streaming encoder's chunk size and
 	// snapshotChunkHook observes every flushed chunk, for pinning down
 	// encode/commit interleavings. commitHook runs at the start of every
@@ -152,9 +146,6 @@ func (c Config) Validate() error {
 	}
 	if c.FsyncInterval < 0 {
 		return fmt.Errorf("fsync interval must be positive (got %v)", c.FsyncInterval)
-	}
-	if c.CompactEvery < 0 {
-		return fmt.Errorf("compact every must be >= 0 (got %d; 0 disables)", c.CompactEvery)
 	}
 	return nil
 }
@@ -263,12 +254,6 @@ type Server struct {
 	snapStreams   int
 	snapSkips     int
 	cowClones     int
-	// lastCompaction is the most recent WAL compaction pass's report (nil
-	// until a pass completes — /stats gates on the report itself, not the
-	// WAL's pass counter, which increments before the report is stored);
-	// compactErrs counts failed passes (guarded by mu).
-	lastCompaction *wal.CompactionReport
-	compactErrs    int
 }
 
 // New builds the serving state, warms every engine through its Load and

@@ -212,18 +212,9 @@ func decodePayload(p []byte) (Batch, error) {
 
 // fillFrameHeader writes the length/CRC header over buf's first
 // recHeaderSize bytes, framing the payload that follows them — the single
-// definition of the record frame layout (Append's pooled-buffer path and
-// frameRecord both go through it).
+// definition of the record frame layout.
 func fillFrameHeader(buf []byte) {
 	payload := buf[recHeaderSize:]
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
-}
-
-// frameRecord wraps a payload in the length/CRC header.
-func frameRecord(payload []byte) []byte {
-	out := make([]byte, recHeaderSize+len(payload))
-	copy(out[recHeaderSize:], payload)
-	fillFrameHeader(out)
-	return out
 }

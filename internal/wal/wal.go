@@ -22,9 +22,9 @@
 // Open is the single entry point: it repairs the tail, loads the newest
 // valid snapshot, decodes the batches committed after it, verifies the
 // sequence numbers are contiguous, and returns the log ready for appends.
-// Append and Compact are intended for the one committing goroutine;
-// WriteSnapshotStream may run beside it (see its doc), and Metrics and Sync
-// are safe from any goroutine.
+// Append is intended for the one committing goroutine; WriteSnapshotStream
+// may run beside it (see its doc), and Metrics and Sync are safe from any
+// goroutine.
 package wal
 
 import (
@@ -160,10 +160,6 @@ type Metrics struct {
 	LastSnapSeq   uint64
 	TrimmedSegs   int64 // segments deleted by snapshot trims
 	SyncErrors    int64 // background interval-sync failures
-
-	Compactions    int64 // change-key compaction passes this process
-	CompactedSegs  int64 // sealed segments rewritten by compaction
-	CompactedBytes int64 // bytes reclaimed by compaction
 }
 
 // segmentMeta tracks one live segment file (its first sequence number is
@@ -178,16 +174,8 @@ type segmentMeta struct {
 type Log struct {
 	opt Options
 
-	// maintMu serializes the operations that restructure sealed segment
-	// *files*: a snapshot's post-write trim (which deletes sealed segments)
-	// and Compact's rewrite-then-swap. Snapshots may complete on a
-	// background goroutine while the committing goroutine runs Compact, and
-	// a trim racing a rewrite could resurrect a deleted segment (the
-	// .compact rename recreating a name the trim just removed) — tearing a
-	// hole recovery refuses. Ordering: maintMu before mu; Append never
-	// takes it, so the commit hot path is unaffected.
-	maintMu sync.Mutex
-
+	// mu guards the segment list and the active file: rotation (in Append)
+	// and a snapshot's trim both restructure the segment files under it.
 	mu       sync.Mutex
 	active   *os.File
 	actSize  int64
@@ -197,12 +185,6 @@ type Log struct {
 	err      error         // sticky write/sync failure
 	closed   bool
 	metrics  Metrics
-
-	// compactedThrough is the name of the newest sealed segment a Compact
-	// pass has already processed: sealed segments are immutable and
-	// segment-local compaction is idempotent, so re-scanning them could
-	// never shrink them further and later passes skip ahead of this mark.
-	compactedThrough string
 
 	stopSync chan struct{} // interval-sync goroutine shutdown
 	syncDone chan struct{}
@@ -243,14 +225,11 @@ func Open(opt Options) (*Log, RecoveryInfo, error) {
 		return nil, RecoveryInfo{}, fmt.Errorf("wal: %w", err)
 	}
 
-	// Sweep snapshot and compaction temp files orphaned by a crash between
-	// write and rename; only renamed ".snap"/".seg" files are ever part of
-	// recovery.
-	for _, pattern := range []string{"snap-*.snap.tmp", "wal-*.seg.compact"} {
-		if tmps, err := filepath.Glob(filepath.Join(opt.Dir, pattern)); err == nil {
-			for _, tmp := range tmps {
-				_ = os.Remove(tmp)
-			}
+	// Sweep snapshot temp files orphaned by a crash between write and
+	// rename; only renamed ".snap" files are ever part of recovery.
+	if tmps, err := filepath.Glob(filepath.Join(opt.Dir, "snap-*.snap.tmp")); err == nil {
+		for _, tmp := range tmps {
+			_ = os.Remove(tmp)
 		}
 	}
 
@@ -574,8 +553,6 @@ func (l *Log) WriteSnapshotStream(seq, meta uint64, view *model.Snapshot, onChun
 		return err
 	}
 
-	l.maintMu.Lock()
-	defer l.maintMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.metrics.Snapshots++
@@ -783,25 +760,6 @@ func listSeqFiles(dir, prefix, suffix string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return nil
 }
 
 func syncDir(dir string) error {

@@ -135,6 +135,90 @@ func TestSegmentRotationAndTrim(t *testing.T) {
 	}
 }
 
+// TestTrimBesideRotation runs each snapshot write — whose trim deletes
+// sealed segments — on its own goroutine while this goroutine keeps
+// appending with segments so small that every append rotates. Rotation and
+// trim both restructure the segment list under the log's lock; afterwards
+// recovery must find the newest snapshot and a gapless tail equal to what
+// was appended after it, and the older retained snapshot must still have
+// its tail too.
+func TestTrimBesideRotation(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, Options{Dir: dir, Sync: SyncOff, SegmentBytes: 64})
+	var seq uint64
+	appendOne := func() {
+		seq++
+		if err := l.Append(seq, testChanges(int64(seq))); err != nil {
+			t.Fatalf("append %d: %v", seq, err)
+		}
+	}
+	view := func(at uint64) *model.Snapshot {
+		users := make([]model.User, 512)
+		for i := range users {
+			users[i] = model.User{ID: model.ID(at)<<16 | model.ID(i)}
+		}
+		return &model.Snapshot{Users: users}
+	}
+	var snaps []uint64
+	for round := 0; round < 30; round++ {
+		for i := 0; i < 3; i++ {
+			appendOne()
+		}
+		at := seq
+		done := make(chan error, 1)
+		go func() { done <- l.WriteSnapshotStream(at, at, view(at), nil) }()
+		appendOne()
+		for waiting := true; waiting; {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("snapshot at %d: %v", at, err)
+				}
+				waiting = false
+			default:
+				appendOne()
+			}
+		}
+		snaps = append(snaps, at)
+	}
+	if m := l.Metrics(); m.TrimmedSegs == 0 || m.Rotations < int64(seq)/2 {
+		t.Fatalf("expected rotations and trims, got %+v", m)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	checkTail := func(label string, wantSnap uint64) {
+		t.Helper()
+		l, info := mustOpen(t, Options{Dir: dir, Sync: SyncOff})
+		defer l.Close()
+		if !info.HasSnapshot || info.SnapshotSeq != wantSnap || info.SnapshotMeta != wantSnap {
+			t.Fatalf("%s: recovered snapshot seq %d meta %d (has=%v), want %d",
+				label, info.SnapshotSeq, info.SnapshotMeta, info.HasSnapshot, wantSnap)
+		}
+		if !reflect.DeepEqual(info.Snapshot.Users, view(wantSnap).Users) {
+			t.Fatalf("%s: snapshot at %d holds another view", label, wantSnap)
+		}
+		if got, want := len(info.Batches), int(seq-wantSnap); got != want {
+			t.Fatalf("%s: recovered %d tail batches, want %d", label, got, want)
+		}
+		for i, b := range info.Batches {
+			s := wantSnap + 1 + uint64(i)
+			if want := (Batch{Seq: s, Changes: testChanges(int64(s))}); !reflect.DeepEqual(b, want) {
+				t.Fatalf("%s: tail batch %d: got seq %d %+v, want seq %d", label, i, b.Seq, b.Changes, s)
+			}
+		}
+	}
+	newest, older := snaps[len(snaps)-1], snaps[len(snaps)-2]
+	checkTail("newest snapshot", newest)
+	// Trim keeps what the older retained snapshot needs: with the newest
+	// gone, recovery falls back to it and still replays a gapless tail.
+	if err := os.Remove(filepath.Join(dir, snapshotName(newest))); err != nil {
+		t.Fatal(err)
+	}
+	checkTail("fallback snapshot", older)
+}
+
 // lastSegment returns the newest wal-*.seg path.
 func lastSegment(t *testing.T, dir string) string {
 	t.Helper()
